@@ -2,10 +2,11 @@
 // framing (persist/framing.h) — one frame per event, torn-tail tolerant.
 //
 // The text/JSON exporters (telemetry/export.h) are presentation formats; this
-// is the machine format long-running processes use: `duetd` persists its
-// control-plane journal across restarts with it, and dumps survive kill -9
-// with at most the in-flight event lost (under FsyncPolicy::kEveryRecord,
-// none). Round trips are bit-exact, including the f64 timestamps.
+// is a machine format: dumps survive kill -9 with at most the in-flight event
+// lost (under FsyncPolicy::kEveryRecord, none), and round trips are
+// bit-exact, including the f64 timestamps. No production code calls it yet —
+// persist_test is its only consumer; duetd does not persist its
+// EventJournal across restarts.
 #pragma once
 
 #include <string>

@@ -5,21 +5,15 @@
 namespace duet::runtime {
 
 struct FakeDipPool::DipSock {
-  DipSock(Ipv4Address dip_, UdpSocket sock_, std::size_t batch)
-      : dip(dip_), sock(std::move(sock_)), io(batch) {
-    rx.resize(batch);  // fixed-size descriptor array: recv_batch never grows it
-  }
-
   Ipv4Address dip;
   UdpSocket sock;
-  BatchIo io;
-  std::vector<RxPacket> rx;
-  std::vector<TxPacket> tx;
   std::atomic<std::uint64_t> packets{0};
   std::atomic<std::uint64_t> rejects{0};
 };
 
-FakeDipPool::FakeDipPool(Options options) : opts_(options) {}
+FakeDipPool::FakeDipPool(Options options) : opts_(options), io_(options.batch), rx_(options.batch) {
+  tx_.reserve(options.batch);  // fixed-size arena: pump never grows either array
+}
 
 FakeDipPool::~FakeDipPool() {
   shutdown();
@@ -30,7 +24,7 @@ std::optional<Endpoint> FakeDipPool::add_dip(Ipv4Address dip) {
   auto sock = UdpSocket::bind(Endpoint{opts_.bind_addr, 0});
   if (!sock) return std::nullopt;
   const Endpoint at = sock->local();
-  auto ds = std::make_unique<DipSock>(dip, std::move(*sock), opts_.batch);
+  auto ds = std::make_unique<DipSock>(dip, std::move(*sock));
   if (!running_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(dips_mu_);
     dips_.push_back(std::move(ds));
@@ -55,8 +49,7 @@ void FakeDipPool::drain_pending() {
     batch.swap(pending_);
   }
   for (auto& ds : batch) {
-    DipSock* raw = ds.get();
-    loop_.add(raw->sock.fd(), [this, raw] { pump(*raw); });
+    loop_.add(ds->sock.fd(), [this, raw = ds.get()] { pump(*raw); });
     std::lock_guard<std::mutex> lock(dips_mu_);
     dips_.push_back(std::move(ds));
   }
@@ -68,8 +61,7 @@ bool FakeDipPool::start() {
   {
     std::lock_guard<std::mutex> lock(dips_mu_);
     for (const auto& ds : dips_) {
-      DipSock* raw = ds.get();
-      if (!loop_.add(raw->sock.fd(), [this, raw] { pump(*raw); })) return false;
+      if (!loop_.add(ds->sock.fd(), [this, raw = ds.get()] { pump(*raw); })) return false;
     }
   }
   running_.store(true, std::memory_order_release);
@@ -112,11 +104,11 @@ std::uint64_t FakeDipPool::total_packets() const {
 
 void FakeDipPool::pump(DipSock& ds) {
   for (;;) {
-    const std::size_t n = ds.io.recv_batch(ds.sock.fd(), ds.rx);
+    const std::size_t n = io_.recv_batch(ds.sock.fd(), rx_);
     if (n == 0) break;
-    ds.tx.clear();
+    tx_.clear();
     std::uint64_t rejects = 0;
-    for (const RxPacket& p : std::span<const RxPacket>(ds.rx.data(), n)) {
+    for (const RxPacket& p : std::span<const RxPacket>(rx_.data(), n)) {
       // Only properly encapsulated datagrams addressed to THIS DIP echo;
       // anything else (stray traffic, un-tunneled packets) is rejected, so a
       // mux bug that skips encap shows up as rejects, not silent success.
@@ -127,13 +119,13 @@ void FakeDipPool::pump(DipSock& ds) {
         continue;
       }
       const auto inner = p.bytes.subspan(kIpv4HeaderBytes);  // decap: drop the outer header
-      ds.tx.push_back(TxPacket{inner.data(), inner.size(),
-                               Endpoint{opts_.reply_addr, peek->inner_src_port}});
+      tx_.push_back(TxPacket{inner.data(), inner.size(),
+                             Endpoint{opts_.reply_addr, peek->inner_src_port}});
     }
     ds.packets.fetch_add(n, std::memory_order_relaxed);
     if (rejects > 0) ds.rejects.fetch_add(rejects, std::memory_order_relaxed);
-    ds.io.send_batch(ds.sock.fd(), ds.tx, 5);
-    if (n < ds.io.batch()) break;
+    io_.send_batch(ds.sock.fd(), tx_, 5);
+    if (n < io_.batch()) break;
   }
 }
 

@@ -1,15 +1,18 @@
 // Echo endpoints standing in for real DIP servers.
 //
 // Each DIP gets its own loopback UDP socket (one real endpoint per simulated
-// backend). An arriving IP-in-IP datagram is validated with parse_packet,
-// decapsulated by dropping the outer 20 bytes — the nested total-length
-// chain stays valid, so the inner datagram is byte-for-byte what the client
-// originally sent — and echoed to (reply_addr, inner src_port).
+// backend). An arriving IP-in-IP datagram is validated with peek_encap (no
+// allocation), decapsulated by dropping the outer 20 bytes — the nested
+// total-length chain stays valid, so the inner datagram is byte-for-byte what
+// the client originally sent — and echoed to (reply_addr, inner src_port).
 //
 // This is the paper's DSR analog (§2.1): replies bypass the mux entirely,
 // and because every DIP answers from its own socket, the reply's kernel
 // source endpoint tells the load generator exactly which DIP served the
 // flow — the observable the sim/live equivalence test keys on.
+//
+// Sockets are per DIP, but the I/O arena is per thread: the pool thread pumps
+// every socket through one BatchIo and rx/tx array, lock-free as only it pumps.
 #pragma once
 
 #include <atomic>
@@ -64,6 +67,9 @@ class FakeDipPool {
   void drain_pending();
 
   Options opts_;
+  BatchIo io_;  // the pool thread's arena, shared by every pump (see above)
+  std::vector<RxPacket> rx_;
+  std::vector<TxPacket> tx_;
   mutable std::mutex dips_mu_;  // guards dips_ against the tick's appends
   std::vector<std::unique_ptr<DipSock>> dips_;
   std::mutex pending_mu_;

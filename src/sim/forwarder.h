@@ -12,8 +12,8 @@
 // and detects the pathologies (loops, dead ends) as explicit outcomes
 // rather than CHECK failures.
 //
-// Used by integration tests and the deep-dive examples; the probe simulator
-// keeps its faster closed-form path model.
+// Only forwarder_test drives it today: no example, bench or other simulator
+// uses it, and the probe simulator keeps its faster closed-form path model.
 #pragma once
 
 #include <memory>

@@ -20,17 +20,17 @@
 // metric once (mutex-guarded slow path), then hammer the returned object
 // from the hot loop with no further registry involvement.
 //
-// Memory-ordering contract: every atomic here uses memory_order_relaxed.
-// That means each individual metric read is coherent (no torn values, each
+// Memory-ordering contract: metrics carry no happens-before edges between
+// each other. Each individual metric read is coherent (no torn values, each
 // load sees *some* recorded value), but a reader observing counter A does
-// NOT thereby observe an earlier write to counter B — metrics carry no
-// happens-before edges. Readers wanting a consistent multi-metric picture
-// must synchronize externally (e.g. join the writer threads first, as the
-// exporters' callers do). Within one Histogram, count()/sum()/min()/max()
-// read at a moment writers may still be mid-record_n: the fields are
-// updated one by one, so transient states where count() is ahead of sum()
-// are expected; min()/max() are always conservative bounds of the recorded
-// samples because they start at ±inf and only ever tighten via CAS.
+// NOT thereby observe an earlier write to counter B. Readers wanting a
+// consistent multi-metric picture must synchronize externally (e.g. join
+// the writer threads first, as the exporters' callers do). Within one
+// Histogram, record_n updates the bucket, min, max and sum first and
+// publishes count_ last with a release add; count() loads it with acquire.
+// So a reader that sees count() > 0 sees min() <= max() bounding every
+// sample counted, and the buckets hold at least count() samples; sum() and
+// the buckets may run ahead of count() while writers are mid-record_n.
 #pragma once
 
 #include <atomic>
@@ -81,7 +81,7 @@ class Histogram {
   void record(double x) noexcept;
   void record_n(double x, std::uint64_t n) noexcept;
 
-  std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const noexcept { return count_.load(std::memory_order_acquire); }
   bool empty() const noexcept { return count() == 0; }
   double sum() const noexcept;
   double mean() const;
@@ -111,7 +111,8 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   // Start at ±inf and only tighten (CAS), so concurrent first records can't
-  // lose an extremum; meaningful once count_ > 0 (min()/max() check).
+  // lose an extremum; meaningful once count_ > 0 (min()/max() check), which
+  // record_n publishes after tightening them.
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };

@@ -17,21 +17,24 @@ FatTree build_fattree(const FatTreeParams& params) {
 
   // Core layer.
   for (std::size_t k = 0; k < params.cores; ++k) {
-    ft.cores.push_back(topo.add_switch(SwitchRole::kCore, kNoContainer, "C" + std::to_string(k)));
+    ft.cores.push_back(topo.add_switch(SwitchRole::kCore, kNoContainer,
+                                       std::string("C").append(std::to_string(k))));
   }
 
   // Containers: Aggs then ToRs; ToR–Agg full bipartite inside a container.
   for (std::size_t c = 0; c < params.containers; ++c) {
     std::vector<SwitchId> container_aggs;
     for (std::size_t a = 0; a < params.aggs_per_container; ++a) {
-      const auto id = topo.add_switch(SwitchRole::kAgg, static_cast<ContainerId>(c),
-                                      "A" + std::to_string(c) + "." + std::to_string(a));
+      const auto id = topo.add_switch(
+          SwitchRole::kAgg, static_cast<ContainerId>(c),
+          std::string("A").append(std::to_string(c)).append(".").append(std::to_string(a)));
       container_aggs.push_back(id);
       ft.aggs.push_back(id);
     }
     for (std::size_t t = 0; t < params.tors_per_container; ++t) {
-      const auto id = topo.add_switch(SwitchRole::kTor, static_cast<ContainerId>(c),
-                                      "T" + std::to_string(c) + "." + std::to_string(t));
+      const auto id = topo.add_switch(
+          SwitchRole::kTor, static_cast<ContainerId>(c),
+          std::string("T").append(std::to_string(c)).append(".").append(std::to_string(t)));
       ft.tors.push_back(id);
       for (const SwitchId agg : container_aggs) {
         topo.add_link(id, agg, params.tor_agg_gbps);

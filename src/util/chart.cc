@@ -81,12 +81,12 @@ std::string render_chart(const std::vector<Series>& series, const ChartOptions& 
   std::snprintf(buf, sizeof(buf), "%*.4g", static_cast<int>(options.width - 12), xmax);
   out += buf;
   if (!options.x_label.empty() || !options.y_label.empty()) {
-    out += "\n" + std::string(12, ' ') + options.x_label;
-    if (!options.y_label.empty()) out += "   [y: " + options.y_label + "]";
+    out.append("\n").append(12, ' ').append(options.x_label);
+    if (!options.y_label.empty()) out.append("   [y: ").append(options.y_label).append("]");
   }
   // Legend.
   if (series.size() > 1 || !series.empty()) {
-    out += "\n" + std::string(12, ' ');
+    out.append("\n").append(12, ' ');
     for (const auto& s : series) {
       out += "(";
       out += s.glyph;

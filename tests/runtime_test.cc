@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -150,6 +153,137 @@ TEST(EventLoop, ReadCallbackFires) {
   runner.join();
   EXPECT_EQ(reads.load(), 1);
 }
+
+// --- FakeDipPool: one I/O arena shared by every DIP socket --------------------------
+
+// The encapsulated datagram a mux would forward to `dip`: inner flow from the
+// client's real port to `tag` (so the echo says which send it answers).
+std::vector<std::uint8_t> encap_to(Ipv4Address dip, std::uint16_t client_port,
+                                   std::uint16_t tag) {
+  Packet p{FiveTuple{Ipv4Address{10, 9, 9, 9}, Ipv4Address{100, 0, 0, 1}, client_port, tag,
+                     IpProto::kUdp},
+           64};
+  p.encapsulate(EncapHeader{Ipv4Address{192, 0, 2, 100}, dip});
+  return serialize_packet(p);
+}
+
+TEST(FakeDipPool, SharedArenaEchoesEachDipFromItsOwnSocket) {
+  REQUIRE_LOOPBACK();
+  constexpr std::size_t kBefore = 64;
+  constexpr std::size_t kLive = 16;
+  constexpr std::size_t kRounds = 3;
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+  const std::uint16_t client_port = client->local().port;
+
+  FakeDipPool pool;
+  std::vector<Ipv4Address> dips;
+  std::vector<Endpoint> at;
+  const auto add = [&](std::size_t i) {
+    const Ipv4Address dip{static_cast<std::uint32_t>((10u << 24) + i + 1)};
+    const auto ep = pool.add_dip(dip);
+    ASSERT_TRUE(ep.has_value());
+    dips.push_back(dip);
+    at.push_back(*ep);
+  };
+  for (std::size_t i = 0; i < kBefore; ++i) add(i);
+  ASSERT_TRUE(pool.start());
+  for (std::size_t i = kBefore; i < kBefore + kLive; ++i) add(i);  // live adds
+
+  // Interleaved: every round visits every DIP once, so consecutive datagrams
+  // land on different sockets and each pump reuses the arena the last one
+  // filled.
+  const std::size_t n = dips.size();
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto tag = static_cast<std::uint16_t>(1000 + i);
+      ASSERT_TRUE(client->send_to(encap_to(dips[i], client_port, tag), at[i]));
+    }
+  }
+  // Misaddressed: DIP 1's tunnel header, delivered to DIP 0's socket.
+  ASSERT_TRUE(client->send_to(encap_to(dips[1], client_port, 999), at[0]));
+
+  BatchIo io(64);
+  std::vector<RxPacket> rx(io.batch());
+  std::vector<std::size_t> echoes(n, 0);
+  std::size_t got = 0;
+  std::size_t wrong_source = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (got < n * kRounds && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t k = io.recv_batch(client->fd(), rx);
+    if (k == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    for (const RxPacket& p : std::span<const RxPacket>(rx.data(), k)) {
+      const auto echo = parse_packet(p.bytes);
+      ASSERT_TRUE(echo.has_value());
+      ASSERT_FALSE(echo->encapsulated());  // decapsulated before the echo
+      const std::size_t i = echo->tuple().dst_port - 1000u;
+      ASSERT_LT(i, n);
+      if (p.from != at[i]) ++wrong_source;
+      ++echoes[i];
+      ++got;
+    }
+  }
+  while (pool.rejects_at(dips[0]) == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pool.shutdown();
+  pool.join();
+
+  EXPECT_EQ(got, n * kRounds);
+  EXPECT_EQ(wrong_source, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(echoes[i], kRounds) << "dip " << i;
+    EXPECT_EQ(pool.packets_at(dips[i]), kRounds + (i == 0 ? 1 : 0)) << "dip " << i;
+  }
+  EXPECT_EQ(pool.rejects_at(dips[0]), 1u);  // counted where it was received
+  EXPECT_EQ(pool.rejects_at(dips[1]), 0u);
+  EXPECT_EQ(pool.total_packets(), n * kRounds + 1);
+}
+
+#ifdef __linux__
+std::size_t vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoul(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(FakeDipPool, LiveAddsAllocateNoPerDipBuffers) {
+  REQUIRE_LOOPBACK();
+  FakeDipPool pool;
+  ASSERT_TRUE(pool.add_dip(Ipv4Address{10, 0, 0, 1}).has_value());
+  ASSERT_TRUE(pool.start());
+  const std::size_t before = vm_rss_kib();
+  ASSERT_GT(before, 0u);
+  std::optional<Endpoint> last;
+  Ipv4Address last_dip;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    last_dip = Ipv4Address{(10u << 24) + (1u << 16) + i};
+    last = pool.add_dip(last_dip);
+    ASSERT_TRUE(last.has_value());
+  }
+  // One echo through the newest DIP: the pool thread has registered the
+  // live adds and pumped through the shared arena.
+  auto client = UdpSocket::bind(Endpoint{kLoopback, 0});
+  ASSERT_TRUE(client.has_value());
+  ASSERT_TRUE(client->send_to(encap_to(last_dip, client->local().port, 7), *last));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.packets_at(last_dip) == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::size_t after = vm_rss_kib();
+  pool.shutdown();
+  pool.join();
+  EXPECT_EQ(pool.packets_at(last_dip), 1u);
+  // A per-DIP BatchIo (64 x 2068 B each) would add ~32 MiB here.
+  EXPECT_LT(after - std::min(after, before), 8u * 1024u) << before << " -> " << after << " KiB";
+}
+#endif
 
 // --- End-to-end loopback: sim/live equivalence ------------------------------------
 

@@ -1,4 +1,6 @@
-// duetctl — command-line front end for capacity planning with the library.
+// duetctl — command-line front end: capacity planning with the library, a
+// load generator, and the ops client of a running duetd (examples/duetd.cpp,
+// the one serving binary).
 //
 //   duetctl plan     [options]   run the assignment on a trace, print the plan
 //   duetctl gen      [options]   generate a synthetic trace file
@@ -10,13 +12,11 @@
 //                                design invariant (audit/invariants.h) at each
 //                                stage; prints the per-invariant report and
 //                                exits 1 on any violation
-//   duetctl serve    [options]   run duetd: a live SMux worker pool on a real
-//                                UDP socket, with in-process echo DIPs, until
-//                                SIGTERM/SIGINT (or --duration); drains, dumps
-//                                telemetry, audits the final state
-//   duetctl load     [options]   run duetload against a duetd started with the
-//                                same --vips/--dips/--seed; closed loop by
-//                                default, open loop when --pps is given
+//   duetctl load     [options]   run duetload against a running duetd whose
+//                                VIPs follow the live scheme (VIP v =
+//                                100.0.v.1 for v < --vips, default 4; add
+//                                them with add-vip); closed loop by default,
+//                                open loop when --pps is given
 //
 // Ops-socket client (requires --socket PATH; talks to a running durable
 // duetd, examples/duetd.cpp):
@@ -52,43 +52,30 @@
 //   --vips N --gbps G --epochs E          workload (default 600, 600, 3)
 //   --replicas R                          use §9 anycast replication
 //   --trace FILE                          load/store the trace file
-//   --json FILE                           (stats/serve/load) also write JSON
+//   --json FILE                           (stats/load) also write JSON
 //   --threads N                           worker width for parallel phases
 //                                         (default: DUET_THREADS env, else all cores)
 //   --seed S
-// Live options (serve/load):
-//   --port P                              serve: listen port (0 = kernel picks)
-//                                         load: the duetd port (required)
-//   --workers N --dips N                  serve shape (default 2 workers,
-//                                         4 DIPs per VIP; --vips defaults to 4)
-//   --duration S                          serve: exit after S seconds (0 = until
-//                                         signal); load: open-loop run length
-//   --stats-interval S                    serve: live counter print period
-//   --engine stateful|stateless           serve: SMux decision engine (default
-//                                         stateful flow-table pins; stateless =
-//                                         versioned map, no per-flow state)
-//   --pin-cpus                            serve: pin worker i to CPU (i mod
-//                                         online CPUs); DUET_CPU_PIN overrides
-//   --no-fast-tier                        serve: disable the in-process
-//                                         hot-VIP fast tier (DESIGN.md §17)
+// Load options:
+//   --port P                              the duetd UDP port (required)
+//   --vips N                              VIPs to spread flows over (default 4)
+//   --duration S                          open-loop run length (default 1)
 //   --pps R --flows N --sockets N         load shape (pps 0 = closed loop)
-//   --packets N --bytes B                 load: closed-loop count, datagram size
+//   --packets N --bytes B                 closed-loop count, datagram size
 //
 // Examples:
 //   build/examples/duetctl gen --trace /tmp/t.trace --vips 1000 --gbps 800
 //   build/examples/duetctl plan --trace /tmp/t.trace
 //   build/examples/duetctl replay --vips 800 --epochs 6
 //   build/examples/duetctl stats --vips 400 --epochs 4 --json /tmp/stats.json
-//   build/examples/duetctl serve --port 9004 --workers 4 &
-//   build/examples/duetctl load --port 9004 --packets 20000
+//   build/examples/duetd --dir "$(mktemp -d)" --socket /tmp/duetd.sock --port 9004 &
+//   build/examples/duetctl add-vip --socket /tmp/duetd.sock 100.0.0.1 10.0.0.1 10.0.0.2
+//   build/examples/duetctl load --port 9004 --vips 1 --packets 20000
 #include <algorithm>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "audit/invariants.h"
 #include "audit/snapshot.h"
@@ -99,12 +86,9 @@
 #include "duet/migration.h"
 #include "duet/replication.h"
 #include "exec/thread_pool.h"
-#include "runtime/fake_dip.h"
 #include "runtime/load_gen.h"
-#include "runtime/mux_server.h"
 #include "telemetry/export.h"
 #include "topo/fattree.h"
-#include "util/logging.h"
 #include "util/table.h"
 #include "workload/demand.h"
 #include "workload/trace_io.h"
@@ -118,20 +102,16 @@ struct Args {
   std::string command;
   std::size_t containers = 6, tors = 8, cores = 6;
   std::size_t vips = 600, epochs = 3, replicas = 1;
-  bool vips_explicit = false;  // serve/load default to 4 VIPs unless --vips given
+  bool vips_explicit = false;  // load defaults to 4 VIPs unless --vips given
   double gbps = 600.0;
   std::string trace_file;
   std::string json_file;
   std::uint64_t seed = 1;
 
-  // Live runtime (serve/load).
+  // Load generator.
   std::uint16_t port = 0;
-  std::size_t workers = 2, dips_per_vip = 4;
   std::size_t flows = 64, sockets = 2, packets = 10000, bytes = 128;
-  double duration_s = 0.0, stats_interval_s = 5.0, pps = 0.0;
-  SmuxEngine engine = SmuxEngine::kStateful;
-  bool pin_cpus = false;   // serve: pin worker i to CPU (i mod online)
-  bool fast_tier = true;   // serve: in-process hot-VIP fast tier
+  double duration_s = 0.0, pps = 0.0;
 };
 
 bool parse_args(int argc, char** argv, Args& a) {
@@ -139,15 +119,6 @@ bool parse_args(int argc, char** argv, Args& a) {
   a.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string key = argv[i];
-    // Valueless flags first; everything else is a key/value pair.
-    if (key == "--pin-cpus") {
-      a.pin_cpus = true;
-      continue;
-    }
-    if (key == "--no-fast-tier") {
-      a.fast_tier = false;
-      continue;
-    }
     if (i + 1 >= argc) break;  // trailing key without a value: ignore
     const char* value = argv[++i];
     if (key == "--containers") {
@@ -175,10 +146,6 @@ bool parse_args(int argc, char** argv, Args& a) {
       exec::set_default_width(std::strtoul(value, nullptr, 10));
     } else if (key == "--port") {
       a.port = static_cast<std::uint16_t>(std::strtoul(value, nullptr, 10));
-    } else if (key == "--workers") {
-      a.workers = std::strtoul(value, nullptr, 10);
-    } else if (key == "--dips") {
-      a.dips_per_vip = std::strtoul(value, nullptr, 10);
     } else if (key == "--flows") {
       a.flows = std::strtoul(value, nullptr, 10);
     } else if (key == "--sockets") {
@@ -189,23 +156,15 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.bytes = std::strtoul(value, nullptr, 10);
     } else if (key == "--duration") {
       a.duration_s = std::strtod(value, nullptr);
-    } else if (key == "--stats-interval") {
-      a.stats_interval_s = std::strtod(value, nullptr);
     } else if (key == "--pps") {
       a.pps = std::strtod(value, nullptr);
-    } else if (key == "--engine") {
-      if (!parse_smux_engine(value, &a.engine)) {
-        std::fprintf(stderr, "--engine must be stateful or stateless, got %s\n", value);
-        return false;
-      }
     } else {
       std::fprintf(stderr, "unknown option %s\n", key.c_str());
       return false;
     }
   }
   return a.command == "plan" || a.command == "gen" || a.command == "replay" ||
-         a.command == "stats" || a.command == "audit" || a.command == "serve" ||
-         a.command == "load";
+         a.command == "stats" || a.command == "audit" || a.command == "load";
 }
 
 Trace obtain_trace(const Args& a, const FatTree& fabric) {
@@ -259,16 +218,10 @@ void print_plan(const FatTree& fabric, const Assignment& a,
   t.print();
 }
 
-// --- live runtime (serve / load) ---------------------------------------------------
+// --- load generator -----------------------------------------------------------------
 
-// Drain flag flipped by SIGTERM/SIGINT; the handler does nothing else —
-// MuxServer::shutdown is not async-signal-safe and runs in the main loop.
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
-
-// serve and load must agree on the VIP set (load builds flow tuples against
-// the VIPs serve installed), so both derive it from the same scheme:
-// VIP v = 100.0.v.1, its DIPs 10.v.0.(d+1).
+// The live VIP scheme load builds flow tuples against: VIP v = 100.0.v.1.
+// A duetd serving those VIPs (added with add-vip) answers every flow.
 std::vector<Ipv4Address> live_vip_set(const Args& a) {
   const std::size_t nv = a.vips_explicit ? a.vips : 4;
   std::vector<Ipv4Address> vips;
@@ -276,96 +229,6 @@ std::vector<Ipv4Address> live_vip_set(const Args& a) {
     vips.push_back(Ipv4Address{static_cast<std::uint32_t>((100u << 24) + 256 * v + 1)});
   }
   return vips;
-}
-
-int cmd_serve(const Args& a) {
-  runtime::MuxServerOptions mo;
-  mo.listen.port = a.port;
-  mo.workers = a.workers == 0 ? 1 : a.workers;
-  mo.stats_interval_s = a.stats_interval_s;
-  mo.print_stats = a.stats_interval_s > 0;
-  // The interval counters log at info; the library default is warn.
-  if (mo.print_stats) set_log_level(LogLevel::kInfo);
-  mo.stats_json_path = a.json_file;
-  mo.hasher = FlowHasher{a.seed};
-  mo.pin_cpus = a.pin_cpus;
-  mo.fast_tier = a.fast_tier;
-  DuetConfig cfg;
-  cfg.smux_engine = a.engine;  // every worker's Smux decides with this engine
-  runtime::MuxServer mux{mo, cfg};
-
-  // In-process echo DIPs stand in for the real backends (fake_dip.h): one
-  // loopback socket per DIP, replying straight to the client — DSR.
-  runtime::FakeDipPool dips;
-  const auto vips = live_vip_set(a);
-  const std::size_t nd = a.dips_per_vip == 0 ? 1 : a.dips_per_vip;
-  for (std::size_t v = 0; v < vips.size(); ++v) {
-    std::vector<Ipv4Address> pool;
-    for (std::size_t d = 0; d < nd; ++d) {
-      const Ipv4Address dip{static_cast<std::uint32_t>((10u << 24) + (v << 16) + d + 1)};
-      const auto at = dips.add_dip(dip);
-      if (!at.has_value()) {
-        std::fprintf(stderr, "serve: failed to bind an echo socket for a DIP\n");
-        return 1;
-      }
-      mux.map_dip(dip, *at);
-      pool.push_back(dip);
-    }
-    mux.set_vip(vips[v], std::move(pool));
-  }
-  if (!dips.start()) {
-    std::fprintf(stderr, "serve: failed to start the echo DIP pool\n");
-    return 1;
-  }
-  if (!mux.start()) {
-    std::fprintf(stderr, "serve: failed to bind 127.0.0.1:%u\n", unsigned{a.port});
-    dips.shutdown();
-    dips.join();
-    return 1;
-  }
-  std::printf("duetd: %zu workers on 127.0.0.1:%u | %zu VIPs x %zu DIPs | seed %llu\n",
-              mo.workers, unsigned{mux.listen_endpoint().port}, vips.size(), nd,
-              static_cast<unsigned long long>(a.seed));
-  std::printf("duetd: serving%s; SIGTERM/SIGINT drains\n",
-              a.duration_s > 0 ? " (timed run)" : "");
-
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-  const auto t0 = std::chrono::steady_clock::now();
-  while (g_stop == 0) {
-    if (a.duration_s > 0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() >=
-            a.duration_s) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-
-  std::printf("duetd: draining\n");
-  mux.shutdown();
-  mux.join();
-  dips.shutdown();
-  dips.join();
-
-  std::printf("\n");
-  telemetry::TextExporter::print(mux.metrics());
-  if (!a.json_file.empty()) {
-    if (telemetry::JsonExporter::write_file(a.json_file, "duetd", &mux.metrics(), nullptr)) {
-      std::printf("\nwrote %s\n", a.json_file.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write %s\n", a.json_file.c_str());
-      return 1;
-    }
-  }
-
-  // The drained deployment must pass the same invariant auditor the
-  // simulations run under; a violation fails the command.
-  const auto report = audit::InvariantAuditor{}.audit(mux.audit_snapshot());
-  std::printf("\nfinal audit: %s\n", report.clean() ? "clean" : report.summary().c_str());
-  for (const auto& v : report.violations) {
-    std::printf("VIOLATION [%s] %s\n", v.invariant.c_str(), v.message.c_str());
-  }
-  return report.clean() ? 0 : 1;
 }
 
 int cmd_load(const Args& a) {
@@ -493,14 +356,13 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: duetctl plan|gen|replay|stats|audit|serve|load\n"
+                 "usage: duetctl plan|gen|replay|stats|audit|load\n"
                  "       [--containers N] [--tors N] [--cores N]\n"
                  "       [--vips N] [--gbps G] [--epochs E] [--replicas R] [--trace FILE]\n"
                  "       [--seed S] [--json FILE] [--threads N]\n"
-                 "  serve: [--port P] [--workers N] [--vips N] [--dips N] [--duration S]\n"
-                 "         [--stats-interval S] [--json FILE] [--pin-cpus] [--no-fast-tier]\n"
-                 "  load:  --port P [--pps R] [--duration S] [--packets N] [--flows N]\n"
-                 "         [--sockets N] [--bytes B] [--json FILE]\n"
+                 "  load:  --port P [--vips N] [--pps R] [--duration S] [--packets N]\n"
+                 "         [--flows N] [--sockets N] [--bytes B] [--json FILE]\n"
+                 "         (against a running duetd, the one serving binary)\n"
                  "ops-socket client (against a running duetd):\n"
                  "  duetctl ping|stats|audit|snapshot|drain|rebuild-fast-tier --socket PATH\n"
                  "  duetctl add-vip VIP DIP... | add-dip VIP DIP | remove-dip VIP DIP |\n"
@@ -515,8 +377,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The live commands run on real sockets, not the modelled fabric.
-  if (args.command == "serve") return cmd_serve(args);
+  // The load generator runs on real sockets, not the modelled fabric.
   if (args.command == "load") return cmd_load(args);
 
   const auto fabric = build_fattree(FatTreeParams::scaled(args.containers, args.tors, args.cores));

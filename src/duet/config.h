@@ -69,8 +69,8 @@ struct DuetConfig {
 
   // --- SMux decision engine (DESIGN.md §13) -----------------------------------
   // Default engine for every pool on every SMux; per-VIP overrides via
-  // Smux::set_engine_override. `duetctl serve --engine stateless` flips it
-  // for the live runtime.
+  // Smux::set_engine_override. `duetd --engine stateless` flips it for the
+  // live runtime.
   SmuxEngine smux_engine = SmuxEngine::kStateful;
   // Stateless engine: a bucket whose map version changed adopts the newest
   // version only once the bucket has seen NO packet for this long — the

@@ -253,6 +253,7 @@ void DuetController::add_dip(Ipv4Address vip, Ipv4Address dip) {
                   "dip addition bounce");
   }
   rec.dips.push_back(dip);
+  if (!rec.weights.empty()) rec.weights.push_back(1);  // a weighted pool: joins at weight 1
   sync_smuxes(rec);
 }
 
@@ -265,6 +266,7 @@ void DuetController::remove_dip(Ipv4Address vip, Ipv4Address dip) {
     remove_vip(vip);
     return;
   }
+  if (!rec.weights.empty()) rec.weights.erase(rec.weights.begin() + (pos - rec.dips.begin()));
   rec.dips.erase(pos);
   if (rec.home) {
     // Resilient hashing: surviving connections keep their DIPs (§5.1).

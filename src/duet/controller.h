@@ -62,7 +62,9 @@ class DuetController {
   VipId add_vip(Ipv4Address vip, std::vector<Ipv4Address> dips);
   void remove_vip(Ipv4Address vip);
   // DIP addition bounces the VIP through the SMuxes (resilient hashing can't
-  // grow in place); DIP removal uses resilient hashing on the HMux.
+  // grow in place); DIP removal uses resilient hashing on the HMux. In a
+  // weighted pool (set_dip_weights) an added DIP joins with weight 1 and a
+  // removed DIP takes its weight with it.
   void add_dip(Ipv4Address vip, Ipv4Address dip);
   void remove_dip(Ipv4Address vip, Ipv4Address dip);
   // Host-agent health report; an unhealthy DIP is removed (§5.1).

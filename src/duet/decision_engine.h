@@ -1,6 +1,5 @@
-// DecisionEngine: the per-flow DIP-selection stage of an SMux, extracted so
-// the stateful (flow-table) and stateless (versioned Othello-style map)
-// engines are interchangeable behind one contract.
+// The per-flow DIP-selection stage of an SMux, and what its two engines
+// share: the resolved DIP pool (VipPool) and the pool ids.
 //
 // The SMux pipeline has two stages (Fig 8 / §5.2):
 //   1. the POOL FRONT-END — which DIP pool applies to this packet: the
@@ -10,7 +9,7 @@
 //      and how that choice stays stable across DIP updates (PCC, §5.2's
 //      no-remap guarantee). This stage is the engine.
 //
-// Engines:
+// Engines (Smux calls each through its concrete type):
 //   * StatefulEngine (duet/stateful_engine.h): first packet hashes through
 //     the switch-mirrored ResilientHashGroup, then a per-connection flow
 //     table pins the choice. O(concurrent flows) memory — the SYN-flood
@@ -19,15 +18,27 @@
 //     bucket map from connection hash to DIP with per-bucket epoch stamps.
 //     O(DIPs) memory regardless of flow count; no per-flow entries to flood.
 //
-// Contract notes:
-//   * decide() must be deterministic: the same (pool content, tuple, call
-//     history) always yields the same DIP — the bit-for-bit sweep contract
-//     (DESIGN.md §9) and the golden traces depend on it.
-//   * Pool lifecycle callbacks run on the control path (off the per-packet
-//     path); decide() is the only hot-path entry. Neither is thread-safe —
-//     an engine belongs to one Smux replica, one worker (§2.2 scale-out).
-//   * `pinned` reports whether the call created per-flow state (the caller
-//     owns flow-pin telemetry); a stateless engine always reports false.
+// Both engines provide the same members, with this contract:
+//   * pool_updated(pool_id, pool, now_us): the pool was created or its slot
+//     layout rebuilt (set_vip / set_port_rule / weight change); the `pool`
+//     reference is NOT retained past the call.
+//   * pool_removed(pool_id, vip, now_us): the pool (and, for VIP-wide pools,
+//     the VIP) went away entirely.
+//   * dip_removed(pool_id, pool, dip, now_us): a DIP was removed in place
+//     (slots killed, layout otherwise untouched). Connections to `dip`
+//     terminate (§5.1) and flows on surviving DIPs must not move.
+//   * decide(pool_id, pool, tuple, now_us, &chosen, &pinned): the hot path.
+//     It must be deterministic: the same (pool content, tuple, call history)
+//     always yields the same DIP — the bit-for-bit sweep contract
+//     (DESIGN.md §9) and the golden traces depend on it. `pinned` reports
+//     whether the call created per-flow state (the caller owns flow-pin
+//     telemetry); a stateless engine always reports false. Returns false
+//     only when the engine cannot serve the pool (never for a live pool).
+//   * decision_state_bytes(): resident engine-owned decision state (per-flow
+//     tables, or version/stamp arrays), excluding the shared pools.
+//   * Pool lifecycle calls run on the control path; decide() is the only
+//     hot-path entry. Nothing is thread-safe — an engine belongs to one Smux
+//     replica, one worker (§2.2 scale-out).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +46,6 @@
 
 #include "dataplane/resilient_hash.h"
 #include "net/ip.h"
-#include "net/packet.h"
 #include "util/logging.h"
 
 namespace duet {
@@ -79,41 +89,5 @@ constexpr std::uint64_t port_rule_pool_id(Ipv4Address vip, std::uint16_t port) n
 constexpr std::uint64_t vip_pool_id(Ipv4Address vip) noexcept {
   return kVipWidePoolBit | vip.value();
 }
-
-class DecisionEngine {
- public:
-  virtual ~DecisionEngine() = default;
-
-  virtual const char* name() const noexcept = 0;
-
-  // --- pool lifecycle (control path) ----------------------------------------
-  // The pool at `pool_id` was created or its slot layout rebuilt (set_vip /
-  // set_port_rule / weight change). `pool` is the freshly built layout; the
-  // reference is NOT retained past the call.
-  virtual void pool_updated(std::uint64_t pool_id, const VipPool& pool, double now_us) = 0;
-  // The pool (and, for VIP-wide pools, the VIP `vip`) went away entirely.
-  virtual void pool_removed(std::uint64_t pool_id, Ipv4Address vip, double now_us) = 0;
-  // A DIP was removed in place (slots killed, layout otherwise untouched).
-  // Connections to `dip` necessarily terminate (§5.1); the engine must stop
-  // directing any flow to it. Flows on surviving DIPs must not move.
-  virtual void dip_removed(std::uint64_t pool_id, const VipPool& pool, Ipv4Address dip,
-                           double now_us) = 0;
-
-  // --- the decision (hot path) ----------------------------------------------
-  // Chooses a DIP for `tuple` within the resolved pool. Returns false only
-  // when the engine cannot serve the pool (never for a live pool). `pinned`
-  // reports whether this call created per-flow state.
-  virtual bool decide(std::uint64_t pool_id, const VipPool& pool, const FiveTuple& tuple,
-                      double now_us, Ipv4Address* chosen, bool* pinned) = 0;
-
-  // --- introspection ---------------------------------------------------------
-  // Per-flow entries currently held (0 for a stateless engine — the memory
-  // gate bench plots this against decision_state_bytes()).
-  virtual std::size_t flow_entries() const noexcept = 0;
-  // Resident bytes of engine-owned decision state: per-flow tables for the
-  // stateful engine, version/stamp arrays for the stateless one. Excludes
-  // the shared front-end pools (identical for both engines).
-  virtual std::size_t decision_state_bytes() const noexcept = 0;
-};
 
 }  // namespace duet

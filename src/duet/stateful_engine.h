@@ -2,11 +2,10 @@
 // packet hashes through the switch-mirrored ResilientHashGroup, then a
 // per-connection flow table pins the choice (§2.2, §5.2).
 //
-// This is the flow-table half of the pre-PR-6 Smux, extracted behind the
-// DecisionEngine interface so the stateless engine can plug in beside it.
-// The hot path (decide, prefetch) is header-inline: Smux::process_batch
-// calls it through the concrete type, so the extraction costs nothing on
-// the ≥2x pin-hit gate (bench_hotpath).
+// It implements the engine contract in duet/decision_engine.h beside the
+// stateless engine. The hot path (decide, prefetch) is header-inline:
+// Smux::process_batch calls it through the concrete type, so the split
+// costs nothing on the ≥2x pin-hit gate (bench_hotpath).
 //
 // Memory is O(concurrent flows) — the property the stateless engine exists
 // to escape: a SYN flood inserts one FlowPin per spoofed tuple until the
@@ -26,21 +25,19 @@
 
 namespace duet {
 
-class StatefulEngine final : public DecisionEngine {
+class StatefulEngine {
  public:
   StatefulEngine(FlowHasher hasher, const DuetConfig& config)
       : hasher_(hasher), config_(config) {}
 
-  const char* name() const noexcept override { return "stateful"; }
-
-  // --- DecisionEngine ---------------------------------------------------------
+  // --- engine contract (duet/decision_engine.h) --------------------------------
   // Pool rebuilds never touch pins: existing connections stay pinned across
   // DIP addition / weight changes (§5.2 no-remap).
-  void pool_updated(std::uint64_t, const VipPool&, double) override {}
+  void pool_updated(std::uint64_t, const VipPool&, double) {}
 
   // VIP removal drops every pin for the VIP; port-rule removal keeps pins
   // (an established flow keeps its port-steered DIP, as before).
-  void pool_removed(std::uint64_t pool_id, Ipv4Address vip, double) override {
+  void pool_removed(std::uint64_t pool_id, Ipv4Address vip, double) {
     if ((pool_id & kVipWidePoolBit) == 0) return;
     flow_table_.erase_if(
         [vip](const FiveTuple& tuple, const FlowPin&) { return tuple.dst == vip; });
@@ -49,7 +46,7 @@ class StatefulEngine final : public DecisionEngine {
 
   // Connections to the removed DIP necessarily terminate (§5.1); pinned
   // flows to other DIPs survive untouched.
-  void dip_removed(std::uint64_t pool_id, const VipPool&, Ipv4Address dip, double) override {
+  void dip_removed(std::uint64_t pool_id, const VipPool&, Ipv4Address dip, double) {
     const Ipv4Address vip{static_cast<std::uint32_t>(
         (pool_id & kVipWidePoolBit) != 0 ? pool_id & 0xffffffffULL : pool_id >> 16)};
     const std::size_t evicted = flow_table_.erase_if([&](const FiveTuple& tuple,
@@ -70,7 +67,7 @@ class StatefulEngine final : public DecisionEngine {
   // (DESIGN.md §14): everything reachable except the allow-listed cap/grow
   // cold paths must stay allocation/lock/clock/stdio-free.
   DUET_HOT bool decide(std::uint64_t, const VipPool& pool, const FiveTuple& tuple,
-                       double now_us, Ipv4Address* chosen, bool* pinned) override {
+                       double now_us, Ipv4Address* chosen, bool* pinned) {
     *pinned = false;
     FlowPin* pin = flow_table_.find(tuple);
     if (pin != nullptr) {
@@ -88,9 +85,7 @@ class StatefulEngine final : public DecisionEngine {
     return true;
   }
 
-  std::size_t flow_entries() const noexcept override { return flow_table_.size(); }
-
-  std::size_t decision_state_bytes() const noexcept override {
+  std::size_t decision_state_bytes() const noexcept {
     return flow_table_.capacity() *
            sizeof(util::FlatTable<FiveTuple, FlowPin>::Slot);
   }

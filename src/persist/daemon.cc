@@ -152,18 +152,18 @@ bool Duetd::ensure_dip_endpoint(Ipv4Address dip) {
     return false;
   }
   dip_at_.emplace(dip, *at);
-  mux_->apply_dip_map(dip, *at);
+  mux_->map_dip(dip, *at);
   return true;
 }
 
 void Duetd::push_vip(Ipv4Address vip) {
   const auto dips = store_->controller().dips_of(vip);
   if (dips.empty()) {
-    mux_->apply_vip_removal(vip);
+    mux_->remove_vip(vip);
     return;
   }
   for (const Ipv4Address dip : dips) ensure_dip_endpoint(dip);
-  mux_->apply_vip_update(vip, dips, store_->controller().weights_of(vip));
+  mux_->set_vip(vip, dips, store_->controller().weights_of(vip));
 }
 
 CtlResponse Duetd::apply_checked(Op op, std::string ok_text) {
@@ -306,7 +306,16 @@ CtlResponse Duetd::handle(const std::vector<std::string>& argv) {
                               : "removed DIP " + argv[2] + " (resilient hashing, no reshuffle)";
     }
     auto response = apply_checked(std::move(op), std::move(text));
-    if (response.ok()) push_vip(*vip);
+    if (!response.ok()) return response;
+    // The same Smux calls DuetController makes on its modelled SMuxes: a
+    // grown pool is re-rendered whole (pins keep existing flows, §5.2); an
+    // in-place removal kills only the removed DIP's flows (§5.1). Removing
+    // the last DIP removed the VIP, which push_vip renders.
+    if (cmd == "remove-dip" && pool.size() > 1) {
+      mux_->remove_dip(*vip, *dip);
+    } else {
+      push_vip(*vip);
+    }
     return response;
   }
 

@@ -1,6 +1,6 @@
 #include "runtime/mux_server.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,28 +9,12 @@
 #include "exec/thread_pool.h"
 #include "net/wire.h"
 #include "runtime/event_loop.h"
-#include "telemetry/export.h"
 #include "util/logging.h"
 
 namespace duet::runtime {
 
-namespace {
-
-// One single-writer serving counter: the owning worker is the only writer
-// (plain load+store, no lock-prefixed RMW on the hot path); the stats tick
-// on worker 0 reads it with one relaxed load.
-struct StatCell {
-  std::atomic<std::uint64_t> v{0};
-  void add(std::uint64_t n) noexcept {
-    v.store(v.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
-  std::uint64_t get() const noexcept { return v.load(std::memory_order_relaxed); }
-};
-
-}  // namespace
-
 struct MuxServer::PendingUpdate {
-  enum class Kind : std::uint8_t { kSetVip, kRemoveVip, kMapDip };
+  enum class Kind : std::uint8_t { kSetVip, kRemoveVip, kRemoveDip, kMapDip };
   Kind kind = Kind::kSetVip;
   Ipv4Address vip;
   std::vector<Ipv4Address> dips;
@@ -76,21 +60,17 @@ struct MuxServer::Worker {
   bool fast_dirty = true;         // VIP churn since the last snapshot
   std::uint64_t fast_seen_seq = 0;  // last rebuild_fast_tier() clock applied
 
-  // Lock-free serving counters, this worker the only writer (one cache
-  // line; see StatCell). The interval-stats tick and worker_stats() read
-  // these; the shared registry is only fed folded deltas on the tick.
-  struct alignas(64) HotStats {
-    StatCell rx_packets, rx_bytes, tx_packets, tx_bytes, rx_batches;
-    StatCell parse_failures, unmapped_dip, tx_drops;
-    StatCell fast_hits, fast_misses;
-  } stats;
-  // Registry-fold bookkeeping (worker thread only): what has already been
-  // pushed into the shared counters.
-  struct Folded {
+  // Serving counts since the last fold_stats. pump() and the tick both run
+  // on this worker's thread, so these are plain integers: the batch path
+  // touches no shared cache line, and the registry gets the deltas on the
+  // tick.
+  struct Deltas {
     std::uint64_t rx_packets = 0, rx_bytes = 0, tx_packets = 0, tx_bytes = 0;
     std::uint64_t rx_batches = 0, parse_failures = 0, unmapped_dip = 0, tx_drops = 0;
-    std::uint64_t fast_hits = 0, fast_misses = 0, fast_rebuilds = 0;
-  } folded;
+    std::uint64_t fast_hits = 0, fast_misses = 0;
+  } deltas;
+  // This worker's Smux flow-table gauge (flow_table_size() sums them).
+  const telemetry::Gauge* flow_table_size = nullptr;
 
   // This worker's own DIP→endpoint map. Unshared, so pump() reads it without
   // synchronization; live changes arrive through the pending queue below and
@@ -122,20 +102,8 @@ MuxServer::~MuxServer() {
   join();
 }
 
-void MuxServer::set_vip(Ipv4Address vip, std::vector<Ipv4Address> dips,
-                        std::vector<std::uint32_t> weights) {
-  DUET_CHECK(!running()) << "set_vip on a running MuxServer";
-  std::lock_guard<std::mutex> lock(config_mu_);
-  vips_.push_back(VipRecord{vip, std::move(dips), std::move(weights)});
-}
-
-void MuxServer::map_dip(Ipv4Address dip, Endpoint at) {
-  DUET_CHECK(!running()) << "map_dip on a running MuxServer";
-  std::lock_guard<std::mutex> lock(config_mu_);
-  dip_map_.insert(dip, at);
-}
-
 void MuxServer::enqueue_update(const PendingUpdate& update) {
+  if (!running()) return;  // start() seeds the workers from vips_ / dip_map_
   for (const auto& worker : workers_) {
     {
       std::lock_guard<std::mutex> lock(worker->pending_mu);
@@ -162,6 +130,10 @@ void MuxServer::drain_updates(Worker& worker) {
         worker.smux.remove_vip(u.vip);
         worker.fast_dirty = true;
         break;
+      case PendingUpdate::Kind::kRemoveDip:
+        worker.smux.remove_dip(u.vip, u.dip);
+        worker.fast_dirty = true;  // else the snapshot keeps serving the DIP
+        break;
       case PendingUpdate::Kind::kMapDip:
         worker.dip_map.insert(u.dip, u.at);  // post-decision; tier unaffected
         break;
@@ -174,22 +146,17 @@ void MuxServer::rebuild_fast_tier() {
   for (const auto& worker : workers_) worker->loop.wake();
 }
 
-void MuxServer::apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
-                                 std::vector<std::uint32_t> weights) {
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    bool found = false;
-    for (VipRecord& rec : vips_) {
-      if (rec.vip == vip) {
-        rec.dips = dips;
-        rec.weights = weights;
-        found = true;
-        break;
-      }
-    }
-    if (!found) vips_.push_back(VipRecord{vip, dips, weights});
+void MuxServer::set_vip(Ipv4Address vip, std::vector<Ipv4Address> dips,
+                        std::vector<std::uint32_t> weights) {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  const auto rec = std::find_if(vips_.begin(), vips_.end(),
+                                [vip](const VipRecord& r) { return r.vip == vip; });
+  if (rec != vips_.end()) {
+    rec->dips = dips;
+    rec->weights = weights;
+  } else {
+    vips_.push_back(VipRecord{vip, dips, weights});
   }
-  if (!running()) return;  // start() seeds workers from vips_
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kSetVip;
   u.vip = vip;
@@ -198,29 +165,35 @@ void MuxServer::apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
   enqueue_update(u);
 }
 
-void MuxServer::apply_vip_removal(Ipv4Address vip) {
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    for (auto it = vips_.begin(); it != vips_.end(); ++it) {
-      if (it->vip == vip) {
-        vips_.erase(it);
-        break;
-      }
-    }
-  }
-  if (!running()) return;
+void MuxServer::remove_vip(Ipv4Address vip) {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  std::erase_if(vips_, [vip](const VipRecord& r) { return r.vip == vip; });
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kRemoveVip;
   u.vip = vip;
   enqueue_update(u);
 }
 
-void MuxServer::apply_dip_map(Ipv4Address dip, Endpoint at) {
-  {
-    std::lock_guard<std::mutex> lock(config_mu_);
-    dip_map_.insert(dip, at);
-  }
-  if (!running()) return;
+void MuxServer::remove_dip(Ipv4Address vip, Ipv4Address dip) {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  const auto rec = std::find_if(vips_.begin(), vips_.end(),
+                                [vip](const VipRecord& r) { return r.vip == vip; });
+  DUET_CHECK(rec != vips_.end()) << "remove_dip on unknown VIP " << vip.to_string();
+  const auto pos = std::find(rec->dips.begin(), rec->dips.end(), dip);
+  if (pos == rec->dips.end()) return;
+  DUET_CHECK(rec->dips.size() > 1) << "removing last DIP of " << vip.to_string();
+  if (!rec->weights.empty()) rec->weights.erase(rec->weights.begin() + (pos - rec->dips.begin()));
+  rec->dips.erase(pos);
+  PendingUpdate u;
+  u.kind = PendingUpdate::Kind::kRemoveDip;
+  u.vip = vip;
+  u.dip = dip;
+  enqueue_update(u);
+}
+
+void MuxServer::map_dip(Ipv4Address dip, Endpoint at) {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  dip_map_.insert(dip, at);
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kMapDip;
   u.dip = dip;
@@ -257,9 +230,11 @@ bool MuxServer::start() {
     }
     Smux smux(static_cast<std::uint32_t>(w), opts_.hasher, config_, opts_.self);
     for (const VipRecord& rec : vips_) smux.set_vip(rec.vip, rec.dips, rec.weights);
-    smux.bind_telemetry(registry_, "duet.runtime.smux.w" + std::to_string(w) + ".");
+    const std::string prefix = "duet.runtime.smux.w" + std::to_string(w) + ".";
+    smux.bind_telemetry(registry_, prefix);
     auto worker =
         std::make_unique<Worker>(w, std::move(*sock), std::move(smux), opts_.batch);
+    worker->flow_table_size = &registry_.gauge(prefix + "flow_table_size");
     if (!worker->loop.ok()) {
       workers_.clear();
       return false;
@@ -269,8 +244,6 @@ bool MuxServer::start() {
   }
 
   t0_ = std::chrono::steady_clock::now();
-  last_rx_ = last_tx_ = 0;
-  last_stats_us_ = 0.0;
   running_.store(true, std::memory_order_release);
   runner_ = std::thread([this] {
     exec::ThreadPool pool(workers_.size());
@@ -286,10 +259,7 @@ void MuxServer::shutdown() {
 
 void MuxServer::join() {
   if (runner_.joinable()) runner_.join();
-  if (running_.exchange(false, std::memory_order_acq_rel) &&
-      !opts_.stats_json_path.empty()) {
-    telemetry::JsonExporter::write_file(opts_.stats_json_path, "duetd", &registry_, nullptr);
-  }
+  running_.store(false, std::memory_order_release);
 }
 
 Endpoint MuxServer::listen_endpoint() const {
@@ -298,7 +268,9 @@ Endpoint MuxServer::listen_endpoint() const {
 
 std::size_t MuxServer::flow_table_size() const {
   std::size_t total = 0;
-  for (const auto& worker : workers_) total += worker->smux.flow_table_size();
+  for (const auto& worker : workers_) {
+    total += static_cast<std::size_t>(worker->flow_table_size->value());
+  }
   return total;
 }
 
@@ -316,33 +288,25 @@ void MuxServer::maybe_rebuild_fast(Worker& worker, double now) {
   // Off the serving path: this tick-thread build never races pump() on this
   // worker (same thread), and the swap protocol covers external readers.
   worker.fast.rebuild(worker.smux, now);
+  tm_fast_rebuilds_->inc();
 }
 
 void MuxServer::fold_stats(Worker& worker) {
-  const auto fold = [](StatCell& cell, std::uint64_t& folded, telemetry::Counter* out) {
-    const std::uint64_t v = cell.get();
-    if (v != folded) {
-      out->inc(v - folded);
-      folded = v;
-    }
+  const auto flush = [](std::uint64_t& delta, telemetry::Counter* out) {
+    if (delta != 0) out->inc(delta);
+    delta = 0;
   };
-  auto& s = worker.stats;
-  auto& f = worker.folded;
-  fold(s.rx_packets, f.rx_packets, tm_rx_packets_);
-  fold(s.rx_bytes, f.rx_bytes, tm_rx_bytes_);
-  fold(s.tx_packets, f.tx_packets, tm_tx_packets_);
-  fold(s.tx_bytes, f.tx_bytes, tm_tx_bytes_);
-  fold(s.rx_batches, f.rx_batches, tm_rx_batches_);
-  fold(s.parse_failures, f.parse_failures, tm_parse_failures_);
-  fold(s.unmapped_dip, f.unmapped_dip, tm_unmapped_dip_);
-  fold(s.tx_drops, f.tx_drops, tm_tx_drops_);
-  fold(s.fast_hits, f.fast_hits, tm_fast_hits_);
-  fold(s.fast_misses, f.fast_misses, tm_fast_misses_);
-  const std::uint64_t rebuilds = worker.fast.rebuilds();
-  if (rebuilds != f.fast_rebuilds) {
-    tm_fast_rebuilds_->inc(rebuilds - f.fast_rebuilds);
-    f.fast_rebuilds = rebuilds;
-  }
+  auto& d = worker.deltas;
+  flush(d.rx_packets, tm_rx_packets_);
+  flush(d.rx_bytes, tm_rx_bytes_);
+  flush(d.tx_packets, tm_tx_packets_);
+  flush(d.tx_bytes, tm_tx_bytes_);
+  flush(d.rx_batches, tm_rx_batches_);
+  flush(d.parse_failures, tm_parse_failures_);
+  flush(d.unmapped_dip, tm_unmapped_dip_);
+  flush(d.tx_drops, tm_tx_drops_);
+  flush(d.fast_hits, tm_fast_hits_);
+  flush(d.fast_misses, tm_fast_misses_);
 }
 
 void MuxServer::serve(std::size_t index) {
@@ -354,13 +318,9 @@ void MuxServer::serve(std::size_t index) {
       DUET_LOG_INFO << "worker " << index << ": cpu pin unavailable, serving unpinned";
     }
   }
-  // First snapshot before any packet, so a stateless deployment serves its
-  // very first batch from the fast tier.
-  worker.fast_seen_seq = fast_rebuild_seq_.load(std::memory_order_acquire);
-  if (opts_.fast_tier) {
-    worker.fast_dirty = false;
-    worker.fast.rebuild(worker.smux, now_us());
-  }
+  // First snapshot before any packet (a new worker starts fast_dirty), so a
+  // stateless deployment serves its very first batch from the fast tier.
+  maybe_rebuild_fast(worker, now_us());
   worker.loop.add(worker.sock.fd(), [this, &worker] { pump(worker, false); });
   worker.loop.run(stop_, opts_.tick_ms, [this, &worker] {
     // Control-plane changes land here, on the serving thread, between
@@ -372,7 +332,6 @@ void MuxServer::serve(std::size_t index) {
     maybe_rebuild_fast(worker, now);
     worker.smux.expire_flows_step(now, opts_.evict_scan_slots);
     fold_stats(worker);
-    if (worker.index == 0) maybe_export_stats(now);
   });
   // Drain: serve whatever the kernel already queued, then exit. Each pump
   // empties the socket, so the first empty read means the queue is flushed.
@@ -481,117 +440,26 @@ std::size_t MuxServer::pump(Worker& worker, bool draining) {
     std::uint64_t tx_bytes = 0;
     for (std::size_t i = 0; i < sent; ++i) tx_bytes += worker.tx[i].len;
 
-    // One telemetry flush per batch, into this worker's OWN cells (plain
-    // load+store, one unshared cache line — no cross-worker contention, no
-    // lock-prefixed RMW). The shared registry gets folded deltas on the
-    // tick (fold_stats); the batch-fill histogram keeps its shared record
-    // (one bucket increment per batch, not per packet).
-    auto& st = worker.stats;
-    st.rx_batches.add(1);
+    // One telemetry flush per batch, into this worker's own plain deltas
+    // (no atomics, no shared cache line). The shared registry gets them on
+    // the tick (fold_stats); the batch-fill histogram keeps its shared
+    // record (one bucket increment per batch, not per packet).
+    auto& d = worker.deltas;
+    d.rx_batches += 1;
     tm_batch_fill_->record(static_cast<double>(n));
-    st.rx_packets.add(n);
-    st.rx_bytes.add(rx_bytes);
-    if (parse_failures > 0) st.parse_failures.add(parse_failures);
-    if (unmapped > 0) st.unmapped_dip.add(unmapped);
-    st.tx_packets.add(sent);
-    st.tx_bytes.add(tx_bytes);
-    const std::uint64_t tx_drops = encap_drops + (worker.tx.size() - sent);
-    if (tx_drops > 0) st.tx_drops.add(tx_drops);
-    if (fast_hits > 0) st.fast_hits.add(fast_hits);
-    if (fast_misses > 0) st.fast_misses.add(fast_misses);
+    d.rx_packets += n;
+    d.rx_bytes += rx_bytes;
+    d.parse_failures += parse_failures;
+    d.unmapped_dip += unmapped;
+    d.tx_packets += sent;
+    d.tx_bytes += tx_bytes;
+    d.tx_drops += encap_drops + (worker.tx.size() - sent);
+    d.fast_hits += fast_hits;
+    d.fast_misses += fast_misses;
 
     if (n < worker.io.batch()) break;  // short read: the socket is drained
   }
   return total;
-}
-
-std::vector<MuxServer::WorkerStatsSnapshot> MuxServer::worker_stats() const {
-  std::vector<WorkerStatsSnapshot> out;
-  out.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    const auto& s = worker->stats;
-    WorkerStatsSnapshot w;
-    w.rx_packets = s.rx_packets.get();
-    w.rx_bytes = s.rx_bytes.get();
-    w.tx_packets = s.tx_packets.get();
-    w.tx_bytes = s.tx_bytes.get();
-    w.rx_batches = s.rx_batches.get();
-    w.parse_failures = s.parse_failures.get();
-    w.unmapped_dip = s.unmapped_dip.get();
-    w.tx_drops = s.tx_drops.get();
-    w.fast_hits = s.fast_hits.get();
-    w.fast_misses = s.fast_misses.get();
-    w.fast_rebuilds = worker->fast.rebuilds();
-    out.push_back(w);
-  }
-  return out;
-}
-
-void MuxServer::maybe_export_stats(double now) {
-  if (opts_.stats_interval_s <= 0.0) return;
-  const double interval_us = opts_.stats_interval_s * 1e6;
-  if (now - last_stats_us_ < interval_us) return;
-  const double dt_s = (now - last_stats_us_) / 1e6;
-  // Fan-in: one relaxed load per per-worker cell. The shared registry — and
-  // its snapshot mutex — is never touched on this path.
-  const std::vector<WorkerStatsSnapshot> per_worker = worker_stats();
-  WorkerStatsSnapshot total;
-  for (const WorkerStatsSnapshot& w : per_worker) {
-    total.rx_packets += w.rx_packets;
-    total.tx_packets += w.tx_packets;
-    total.parse_failures += w.parse_failures;
-    total.tx_drops += w.tx_drops;
-    total.fast_hits += w.fast_hits;
-    total.fast_misses += w.fast_misses;
-    total.fast_rebuilds += w.fast_rebuilds;
-  }
-  if (opts_.print_stats) {
-    char line[200];
-    std::snprintf(line, sizeof(line),
-                  "duetd t=%8.1fs  rx %10.0f pps  tx %10.0f pps  fast_hit %llu  "
-                  "parse_fail %llu  tx_drops %llu",
-                  now / 1e6, static_cast<double>(total.rx_packets - last_rx_) / dt_s,
-                  static_cast<double>(total.tx_packets - last_tx_) / dt_s,
-                  static_cast<unsigned long long>(total.fast_hits),
-                  static_cast<unsigned long long>(total.parse_failures),
-                  static_cast<unsigned long long>(total.tx_drops));
-    DUET_LOG_INFO << line;
-  }
-  if (!opts_.stats_json_path.empty()) {
-    // Light interval document straight from the per-worker cells, with one
-    // row per worker (`workers[i].rx/tx/fast_hits`); the full registry dump
-    // still lands at join() via JsonExporter.
-    std::FILE* f = std::fopen(opts_.stats_json_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f,
-                   "{\n  \"source\": \"duetd\",\n  \"t_us\": %.0f,\n"
-                   "  \"rx_pps\": %.0f,\n  \"tx_pps\": %.0f,\n"
-                   "  \"fast_tier_hits\": %llu,\n  \"fast_tier_misses\": %llu,\n"
-                   "  \"fast_tier_rebuilds\": %llu,\n  \"workers\": [\n",
-                   now, static_cast<double>(total.rx_packets - last_rx_) / dt_s,
-                   static_cast<double>(total.tx_packets - last_tx_) / dt_s,
-                   static_cast<unsigned long long>(total.fast_hits),
-                   static_cast<unsigned long long>(total.fast_misses),
-                   static_cast<unsigned long long>(total.fast_rebuilds));
-      for (std::size_t i = 0; i < per_worker.size(); ++i) {
-        const WorkerStatsSnapshot& w = per_worker[i];
-        std::fprintf(f,
-                     "    {\"rx\": %llu, \"tx\": %llu, \"fast_hits\": %llu, "
-                     "\"fast_misses\": %llu, \"tx_drops\": %llu}%s\n",
-                     static_cast<unsigned long long>(w.rx_packets),
-                     static_cast<unsigned long long>(w.tx_packets),
-                     static_cast<unsigned long long>(w.fast_hits),
-                     static_cast<unsigned long long>(w.fast_misses),
-                     static_cast<unsigned long long>(w.tx_drops),
-                     i + 1 < per_worker.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-    }
-  }
-  last_rx_ = total.rx_packets;
-  last_tx_ = total.tx_packets;
-  last_stats_us_ = now;
 }
 
 audit::SystemSnapshot MuxServer::audit_snapshot() const {

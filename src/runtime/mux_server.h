@@ -7,20 +7,22 @@
 // scale-out model the paper assumes (§2.2).
 //
 // Per batch (DESIGN.md §12): recvmmsg → parse_packet per datagram →
-// Smux::process_batch (one clock read per batch, flow-slot prefetch, batched
-// telemetry) → encapsulate_on_wire into each rx buffer's headroom
-// (zero-copy) → sendmmsg to the DIPs' real endpoints (map_dip). Idle-flow
-// eviction runs as a bounded incremental scan on the event-loop tick
-// (evict_scan_slots per tick), never a full-table pass on the serving
-// thread. Every Smux replica is built
-// from the same FlowHasher seed and per-VIP salt as a pure-simulation Smux,
-// so live first-packet decisions are bit-identical to the sim's — the
-// equivalence contract tests/runtime_test.cc asserts.
+// fast-tier probe → Smux::process_batch for the misses (one clock read per
+// batch, flow-slot prefetch, batched telemetry) → encapsulate_on_wire into
+// each rx buffer's headroom (zero-copy) → sendmmsg to the DIPs' real
+// endpoints (map_dip). Idle-flow eviction runs as a bounded incremental scan
+// on the event-loop tick (evict_scan_slots per tick), never a full-table
+// pass on the serving thread. Every Smux replica is built from the same
+// FlowHasher seed and per-VIP salt as a pure-simulation Smux, so live
+// first-packet decisions are bit-identical to the sim's — the equivalence
+// contract tests/runtime_test.cc asserts.
 //
-// Lifecycle: configure (set_vip / map_dip) → start() → traffic → shutdown()
-// (stop accepting, per-worker drain flush) → join() → final metrics /
-// audit_snapshot(). SIGTERM handling lives in the caller (duetctl serve):
-// signal handlers only flip a flag; the server never installs its own.
+// Lifecycle: configure (set_vip / map_dip) → start() → traffic, with live
+// reconfiguration through the same calls → shutdown() (stop accepting,
+// per-worker drain flush) → join() → final metrics / audit_snapshot().
+// persist::Duetd (the duetd binary) is the one production owner; signal
+// handling lives there: handlers only flip a flag, and the server never
+// installs its own.
 #pragma once
 
 #include <atomic>
@@ -28,7 +30,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,11 +48,8 @@ struct MuxServerOptions {
   Endpoint listen{Ipv4Address{127, 0, 0, 1}, 0};  // port 0 = kernel-assigned
   std::size_t workers = 1;
   std::size_t batch = 64;    // datagrams per recvmmsg/sendmmsg
-  int tick_ms = 50;          // event-loop tick (flow expiry, stats)
-  double stats_interval_s = 0.0;  // >0: periodic live counters
-  std::string stats_json_path;    // interval-exported JSON ("" = none)
-  bool print_stats = false;       // one stdout line per interval
-  int drain_wait_ms = 100;        // post-shutdown flush budget per worker
+  int tick_ms = 50;          // event-loop tick (updates, flow expiry, stats fold)
+  int drain_wait_ms = 100;   // post-shutdown flush budget per worker
   // Flow-table slots scanned per event-loop tick by the incremental idle
   // evictor (Smux::expire_flows_step). Bounds eviction work per tick so GC
   // never stalls a batch; the full table is cycled across successive ticks.
@@ -79,24 +77,29 @@ class MuxServer {
   MuxServer(const MuxServer&) = delete;
   MuxServer& operator=(const MuxServer&) = delete;
 
-  // --- configuration (before start()) ---------------------------------------
+  // --- configuration -----------------------------------------------------------
+  // One set of calls, named after the Smux calls they make, valid both
+  // before and after start(). Each records the desired configuration (what
+  // start() seeds the workers from and what audit_snapshot renders). On a
+  // running server it also queues the change on every worker, applied on
+  // that worker's next event-loop tick: the hot path never takes a lock
+  // (each worker owns its Smux replica and its own DIP→endpoint map copy),
+  // so convergence is bounded by tick_ms. Thread-safe, but not concurrent
+  // with start().
+  //
+  // Creates or replaces the VIP's whole pool (Smux::set_vip): stateful pins
+  // survive, stateless buckets keep their version until they drain (§5.2).
   void set_vip(Ipv4Address vip, std::vector<Ipv4Address> dips,
                std::vector<std::uint32_t> weights = {});
+  void remove_vip(Ipv4Address vip);
+  // In-place removal of one DIP, and its weight, from a VIP that keeps at
+  // least one other DIP (Smux::remove_dip): flows to `dip` terminate and
+  // remap, flows to every other DIP stay put (§5.1). A DIP the VIP does not
+  // hold is a no-op.
+  void remove_dip(Ipv4Address vip, Ipv4Address dip);
   // Where packets whose chosen DIP is `dip` are actually forwarded. A DIP
   // without a mapping drops (counted in duet.runtime.unmapped_dip).
   void map_dip(Ipv4Address dip, Endpoint at);
-
-  // --- live reconfiguration ---------------------------------------------------
-  // Thread-safe VIP/DIP mutation that also works while serving: before
-  // start() these behave like set_vip/map_dip; on a running server the
-  // change is queued per worker and applied on that worker's next event-loop
-  // tick — the hot path itself never takes a lock (each worker owns its Smux
-  // replica and its own DIP→endpoint map copy). Convergence latency is
-  // therefore bounded by tick_ms. duetd drives these from its ops socket.
-  void apply_vip_update(Ipv4Address vip, std::vector<Ipv4Address> dips,
-                        std::vector<std::uint32_t> weights = {});
-  void apply_vip_removal(Ipv4Address vip);
-  void apply_dip_map(Ipv4Address dip, Endpoint at);
   // Requests a fast-tier re-snapshot on every worker (applied on the next
   // tick, like the update queue). VIP changes trigger one implicitly; this
   // is the explicit controller/duetd epoch push (kFastTierRebuild).
@@ -119,33 +122,20 @@ class MuxServer {
 
   // --- observability ----------------------------------------------------------
   // Counters: duet.runtime.{rx_packets, rx_bytes, tx_packets, tx_bytes,
-  // parse_failures, unmapped_dip, tx_drops, rx_batches}; histogram
+  // parse_failures, unmapped_dip, tx_drops, rx_batches} and
+  // duet.runtime.fast_tier.{hits, misses, rebuilds}; histogram
   // duet.runtime.batch_fill; plus per-worker Smux metrics under
-  // duet.runtime.smux.w<i>.*. Reading while workers run sees live
-  // (relaxed-atomic) values; consistent totals require join() first.
+  // duet.runtime.smux.w<i>.*. Each worker folds its serving counters into
+  // the registry on every tick, so a read while workers run lags by at most
+  // tick_ms; exact totals require join() first.
   telemetry::MetricRegistry& metrics() noexcept { return registry_; }
   const telemetry::MetricRegistry& metrics() const noexcept { return registry_; }
 
-  // Summed across workers. Quiescent only after join().
+  // Pinned flows summed across workers, read from their
+  // duet.runtime.smux.w<i>.flow_table_size gauges (each Smux refreshes its
+  // gauge after every batch that pins and every eviction), so any thread
+  // may call it while the workers serve.
   std::size_t flow_table_size() const;
-
-  // One worker's serving counters, snapshotted from its lock-free
-  // single-writer cells (each is one relaxed load; no mutex anywhere).
-  // Consistent totals require join(); live reads see per-cell-atomic values.
-  struct WorkerStatsSnapshot {
-    std::uint64_t rx_packets = 0;
-    std::uint64_t rx_bytes = 0;
-    std::uint64_t tx_packets = 0;
-    std::uint64_t tx_bytes = 0;
-    std::uint64_t rx_batches = 0;
-    std::uint64_t parse_failures = 0;
-    std::uint64_t unmapped_dip = 0;
-    std::uint64_t tx_drops = 0;
-    std::uint64_t fast_hits = 0;
-    std::uint64_t fast_misses = 0;
-    std::uint64_t fast_rebuilds = 0;
-  };
-  std::vector<WorkerStatsSnapshot> worker_stats() const;
 
   // The live deployment rendered in the auditor's data model: the worker
   // pool as a pure-software SMux fleet (no switches, every VIP on the SMux
@@ -162,7 +152,9 @@ class MuxServer {
     std::vector<std::uint32_t> weights;
   };
 
-  // Queues one update on every worker and wakes their loops.
+  // Queues one update on every worker of a running server and wakes their
+  // loops (a no-op before start()). Caller holds config_mu_, so the queues
+  // see updates in the order the desired configuration took them.
   void enqueue_update(const PendingUpdate& update);
   // Applies queued updates to this worker's Smux replica + DIP map. Runs on
   // the worker thread (tick callback), so it never races process_batch.
@@ -179,7 +171,6 @@ class MuxServer {
   // `draining` shortens the tx flush wait so shutdown cannot stall on a full
   // socket buffer.
   std::size_t pump(Worker& worker, bool draining);
-  void maybe_export_stats(double now_us);
   double now_us() const;
 
   MuxServerOptions opts_;
@@ -199,7 +190,7 @@ class MuxServer {
   telemetry::Histogram* tm_batch_fill_;
 
   // Desired configuration (what start() seeds workers from and what
-  // audit_snapshot renders). Guarded by config_mu_ once live updates exist.
+  // audit_snapshot renders). Guarded by config_mu_.
   std::mutex config_mu_;
   std::vector<VipRecord> vips_;
   // Seed copy for workers; each worker serves from its OWN copy so the
@@ -215,13 +206,6 @@ class MuxServer {
   // Fast-tier rebuild request clock: rebuild_fast_tier() bumps it, each
   // worker's tick re-snapshots when its seen value lags.
   std::atomic<std::uint64_t> fast_rebuild_seq_{0};
-
-  // Interval-stats state; touched only by worker 0's tick. The interval
-  // path reads ONLY the per-worker lock-free cells (one relaxed load each)
-  // — never the registry, whose snapshot views take a mutex.
-  std::uint64_t last_rx_ = 0;
-  std::uint64_t last_tx_ = 0;
-  double last_stats_us_ = 0.0;
 };
 
 }  // namespace duet::runtime

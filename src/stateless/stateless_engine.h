@@ -27,6 +27,7 @@
 #include "duet/config.h"
 #include "duet/decision_engine.h"
 #include "net/hash.h"
+#include "net/packet.h"
 #include "stateless/versioned_map.h"
 #include "telemetry/metrics.h"
 #include "util/flat_table.h"
@@ -35,25 +36,23 @@
 
 namespace duet::stateless {
 
-class StatelessEngine final : public DecisionEngine {
+class StatelessEngine {
  public:
   StatelessEngine(FlowHasher hasher, const DuetConfig& config)
       : hasher_(hasher),
         knobs_{config.stateless_drain_idle_us, config.stateless_buckets_per_dip,
                config.stateless_min_buckets, config.stateless_max_versions} {}
 
-  const char* name() const noexcept override { return "stateless"; }
-
-  // --- DecisionEngine ---------------------------------------------------------
-  void pool_updated(std::uint64_t pool_id, const VipPool& pool, double now_us) override;
-  void pool_removed(std::uint64_t pool_id, Ipv4Address vip, double now_us) override;
+  // --- engine contract (duet/decision_engine.h) --------------------------------
+  void pool_updated(std::uint64_t pool_id, const VipPool& pool, double now_us);
+  void pool_removed(std::uint64_t pool_id, Ipv4Address vip, double now_us);
   void dip_removed(std::uint64_t pool_id, const VipPool& pool, Ipv4Address dip,
-                   double now_us) override;
+                   double now_us);
 
   // Purity root (DESIGN.md §14): the whole stateless lookup path — directory
   // find, bucket hash, stamped-version read — must stay allocation-free.
   DUET_HOT bool decide(std::uint64_t pool_id, const VipPool&, const FiveTuple& tuple,
-                       double now_us, Ipv4Address* chosen, bool* pinned) override {
+                       double now_us, Ipv4Address* chosen, bool* pinned) {
     *pinned = false;  // never any per-flow state
     auto* map = pools_.find(pool_id);
     if (map == nullptr || !(*map)->built()) return false;
@@ -61,8 +60,7 @@ class StatelessEngine final : public DecisionEngine {
     return true;
   }
 
-  std::size_t flow_entries() const noexcept override { return 0; }
-  std::size_t decision_state_bytes() const noexcept override;
+  std::size_t decision_state_bytes() const noexcept;
 
   // --- introspection / tests ---------------------------------------------------
   std::size_t pool_count() const noexcept { return pools_.size(); }

@@ -235,6 +235,42 @@ TEST_F(ControllerTest, WeightChangeBouncesThroughSmuxAndSkewsSplit) {
   EXPECT_NEAR(static_cast<double>(to_heavy) / total, expect, 0.05);
 }
 
+TEST_F(ControllerTest, DipChurnKeepsWcmpWeightsAlignedWithThePool) {
+  const Ipv4Address vip{100, 254, 254, 1};
+  const Ipv4Address a{10, 254, 0, 1}, b{10, 254, 0, 2}, c{10, 254, 0, 3};
+  const Ipv4Address d{10, 254, 0, 4}, e{10, 254, 0, 5};
+  controller_.add_vip(vip, {a, b, c});
+  controller_.set_dip_weights(vip, {1, 2, 3});
+  const auto aligned = [&] {
+    return controller_.weights_of(vip).size() == controller_.dips_of(vip).size();
+  };
+  ASSERT_TRUE(aligned());
+
+  // A DIP added to a weighted pool joins with weight 1.
+  controller_.add_dip(vip, d);
+  EXPECT_TRUE(aligned());
+  EXPECT_EQ(controller_.weights_of(vip), (std::vector<std::uint32_t>{1, 2, 3, 1}));
+
+  // A removed DIP takes its own weight with it...
+  controller_.remove_dip(vip, b);
+  EXPECT_TRUE(aligned());
+  EXPECT_EQ(controller_.weights_of(vip), (std::vector<std::uint32_t>{1, 3, 1}));
+
+  // ...so a later addition does not inherit it.
+  controller_.add_dip(vip, e);
+  EXPECT_TRUE(aligned());
+  EXPECT_EQ(controller_.weights_of(vip), (std::vector<std::uint32_t>{1, 3, 1, 1}));
+
+  // The SMuxes serve the reshaped pool, and only it.
+  const std::vector<Ipv4Address> pool{a, c, d, e};
+  for (std::uint16_t sport = 1; sport <= 64; ++sport) {
+    auto p = packet_to(vip, sport);
+    const auto dip = controller_.load_balance(p);
+    ASSERT_TRUE(dip.has_value());
+    EXPECT_NE(std::find(pool.begin(), pool.end(), *dip), pool.end());
+  }
+}
+
 TEST_F(ControllerTest, StickyEpochsShuffleLittle) {
   controller_.run_epoch(build_demands(fabric_, trace_, 0));
   const auto r1 = controller_.run_epoch(build_demands(fabric_, trace_, 1));

@@ -12,13 +12,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "audit/invariants.h"
@@ -31,6 +34,7 @@
 #include "persist/op_log.h"
 #include "persist/state_image.h"
 #include "persist/store.h"
+#include "runtime/load_gen.h"
 #include "topo/fattree.h"
 #include "util/random.h"
 
@@ -720,6 +724,73 @@ TEST(PersistRecovery, BootsFromOpLogTornBeforeTheMagicStamp) {
   }
 }
 
+TEST(PersistRecovery, DipChurnOnAWeightedVipReplays) {
+  const auto fabric = build_fattree(FatTreeParams::scaled(2, 4, 2));
+  const DuetConfig config;
+  const Ipv4Address vip{100, 0, 1, 1};
+  std::vector<Op> ops;
+  auto push = [&](Op op) {
+    op.t_us = 1e5 * static_cast<double>(ops.size() + 1);
+    ops.push_back(std::move(op));
+  };
+  {
+    Op op;
+    op.kind = OpKind::kDeploySmuxes;
+    op.aggregate = Ipv4Prefix{Ipv4Address{100, 0, 0, 0}, 8};
+    op.addrs = {fabric.tors.front(), fabric.tors.back()};
+    push(std::move(op));
+  }
+  {
+    Op op;
+    op.kind = OpKind::kAddVip;
+    op.vip = vip;
+    for (std::uint8_t d = 1; d <= 3; ++d) op.addrs.push_back(Ipv4Address{10, 0, 0, d}.value());
+    push(std::move(op));
+  }
+  {
+    Op op;
+    op.kind = OpKind::kSetWeights;
+    op.vip = vip;
+    op.weights = {1, 2, 3};
+    push(std::move(op));
+  }
+  for (const auto& [kind, dip] : {std::pair{OpKind::kAddDip, Ipv4Address{10, 0, 0, 4}},
+                                  std::pair{OpKind::kRemoveDip, Ipv4Address{10, 0, 0, 2}},
+                                  std::pair{OpKind::kAddDip, Ipv4Address{10, 0, 0, 5}}}) {
+    Op op;
+    op.kind = kind;
+    op.vip = vip;
+    op.dip = dip;
+    push(std::move(op));
+  }
+  const std::vector<std::uint32_t> expected{1, 3, 1, 1};
+
+  TempDir dir;
+  StoreOptions so;
+  so.dir = dir.path();
+  so.snapshot_every_ops = 0;  // recovery replays every op
+  std::string error;
+  std::vector<std::uint8_t> before;
+  {
+    auto store = PersistentController::open(fabric, config, FlowHasher{3}, 3, so, &error);
+    ASSERT_NE(store, nullptr) << error;
+    for (const Op& op : ops) {
+      ASSERT_TRUE(store->apply(op));
+      const auto& ctl = store->controller();
+      const auto weights = ctl.weights_of(vip);
+      EXPECT_TRUE(weights.empty() || weights.size() == ctl.dips_of(vip).size());
+    }
+    EXPECT_EQ(store->controller().weights_of(vip), expected);
+    before = encode_state(store->controller());
+  }
+  auto reopened = PersistentController::open(fabric, config, FlowHasher{3}, 3, so, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->recovery().replayed, ops.size());
+  EXPECT_EQ(reopened->controller().weights_of(vip), expected);
+  EXPECT_EQ(reopened->controller().dips_of(vip).size(), expected.size());
+  EXPECT_EQ(encode_state(reopened->controller()), before);
+}
+
 // --- snapshot compaction bound ------------------------------------------------
 
 TEST(PersistSnapshot, ReplayLengthIsBoundedByOpsSinceLastSnapshot) {
@@ -924,6 +995,132 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
   EXPECT_EQ(third.store().recovery().replayed, 0u);
   EXPECT_EQ(third.store().controller().vip_count(), 2u);
   third.stop(false);
+}
+
+// Pins 64 flows on a 4-DIP VIP, removes one DIP through handle(), and
+// checks the §5.1 contract on the live serving path: the removed DIP gets no
+// further datagram, its flows are answered by surviving DIPs, and every
+// other flow keeps its DIP.
+void expect_remove_dip_remaps_only_its_flows(SmuxEngine engine) {
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.mux_workers = 2;
+  opts.engine = engine;
+  Duetd daemon{opts};
+  std::string error;
+  if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+
+  const Ipv4Address vip{100, 0, 1, 1};
+  const Ipv4Address removed{10, 0, 0, 1};
+  ASSERT_TRUE(
+      daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"})
+          .ok());
+  // Updates land on each worker's next tick (MuxServerOptions::tick_ms, 50).
+  const auto settle = [] { std::this_thread::sleep_for(std::chrono::milliseconds(300)); };
+  settle();
+
+  runtime::LoadGenOptions lo;
+  lo.target = daemon.listen_endpoint();
+  lo.sockets = 2;  // both SO_REUSEPORT workers
+  lo.packet_bytes = 64;
+  runtime::LoadGenerator gen{lo};
+  ASSERT_TRUE(gen.init());
+  const auto flows = gen.make_flows(std::vector<Ipv4Address>{vip}, 64);
+  const auto before = gen.run_closed(flows, 512);
+  for (const auto& at : before.dip_by_flow) ASSERT_NE(at.port, 0) << "a flow went unanswered";
+  const std::uint64_t removed_hits = daemon.dip_pool().packets_at(removed);
+  ASSERT_GT(removed_hits, 0u) << "no flow landed on the DIP to remove";
+
+  ASSERT_TRUE(daemon.handle({"remove-dip", "100.0.1.1", "10.0.0.1"}).ok());
+  settle();
+  const auto after = gen.run_closed(flows, 512);
+
+  EXPECT_EQ(daemon.dip_pool().packets_at(removed), removed_hits)
+      << "the removed DIP still received traffic";
+  std::unordered_set<runtime::Endpoint> still_serving(after.dip_by_flow.begin(),
+                                                      after.dip_by_flow.end());
+  std::unordered_set<runtime::Endpoint> gone;
+  for (const auto& at : before.dip_by_flow) {
+    if (!still_serving.contains(at)) gone.insert(at);
+  }
+  EXPECT_EQ(gone.size(), 1u) << "exactly the removed DIP's endpoint must stop answering";
+  std::size_t moved = 0;
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    ASSERT_NE(after.dip_by_flow[f].port, 0) << "flow " << f << " went unanswered";
+    if (gone.contains(before.dip_by_flow[f])) {
+      ++moved;  // remapped onto a surviving DIP
+    } else {
+      EXPECT_EQ(after.dip_by_flow[f], before.dip_by_flow[f]) << "flow " << f << " moved";
+    }
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(after.remap_violations, 0u);
+  daemon.stop(/*snapshot=*/false);
+}
+
+TEST(PersistDaemon, RemoveDipRemapsOnlyItsFlowsStateful) {
+  expect_remove_dip_remaps_only_its_flows(SmuxEngine::kStateful);
+}
+
+TEST(PersistDaemon, RemoveDipRemapsOnlyItsFlowsStateless) {
+  expect_remove_dip_remaps_only_its_flows(SmuxEngine::kStateless);
+}
+
+// `stats` runs on the ops thread while the workers serve; its flow count
+// must come from state the workers publish (TSan checks the "no data race"
+// half), and it must be exact once traffic stops.
+TEST(PersistDaemon, StatsReadsTheFlowCountWhileWorkersServe) {
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.mux_workers = 2;
+  Duetd daemon{opts};
+  std::string error;
+  if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+  ASSERT_TRUE(
+      daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"})
+          .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  const auto flows_in = [&daemon] {
+    const auto response = daemon.handle({"stats"});
+    EXPECT_TRUE(response.ok());
+    const auto pos = response.text.find("| flows ");
+    EXPECT_NE(pos, std::string::npos) << response.text;
+    return pos == std::string::npos
+               ? 0ull
+               : std::strtoull(response.text.c_str() + pos + 8, nullptr, 10);
+  };
+
+  runtime::LoadGenOptions lo;
+  lo.target = daemon.listen_endpoint();
+  lo.sockets = 2;
+  lo.packet_bytes = 64;
+  runtime::LoadGenerator gen{lo};
+  ASSERT_TRUE(gen.init());
+  const auto flows = gen.make_flows(std::vector<Ipv4Address>{Ipv4Address{100, 0, 1, 1}}, 64);
+  std::atomic<bool> done{false};
+  std::thread load([&] {
+    gen.run_closed(flows, 4000);
+    done.store(true, std::memory_order_release);
+  });
+  std::size_t polls = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    EXPECT_LE(flows_in(), flows.size());
+    ++polls;
+  }
+  load.join();
+  EXPECT_GT(polls, 0u);
+
+  // Once traffic stops, every worker's last batch has published its exact
+  // table size.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (flows_in() != flows.size() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(flows_in(), flows.size());
+  daemon.stop(/*snapshot=*/false);
 }
 
 }  // namespace

@@ -118,7 +118,8 @@ TEST(TelemetryStressTest, ReadersRaceWritersSafely) {
   // A reader polling count()/sum()/min()/max()/percentile() while writers
   // record must see only coherent (possibly transiently inconsistent)
   // values — never a torn read or a crash. TSan verifies the "no data
-  // race" half; the assertions verify monotonicity of count.
+  // race" half; the assertions verify monotonicity of count and that the
+  // median lies within the observed range.
   Histogram h(Histogram::exponential_bounds(1.0, 1024.0, 11));
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -128,9 +129,15 @@ TEST(TelemetryStressTest, ReadersRaceWritersSafely) {
       EXPECT_GE(now, last);
       last = now;
       if (now > 0) {
-        EXPECT_LE(h.min(), h.max());
-        EXPECT_GE(h.percentile(50.0), h.min());
-        EXPECT_LE(h.percentile(50.0), h.max());
+        // Read the median first, then the extremes: min only falls and max
+        // only rises, so extremes read later still bound the median.
+        // (Inside one EXPECT the operand order is up to the compiler.)
+        const double median = h.percentile(50.0);
+        const double lo = h.min();
+        const double hi = h.max();
+        EXPECT_LE(lo, hi);
+        EXPECT_GE(median, lo);
+        EXPECT_LE(median, hi);
       }
     }
   });

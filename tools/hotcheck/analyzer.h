@@ -30,9 +30,9 @@
 //
 // Known blind spot, by design: indirect calls (virtual dispatch, function
 // pointers) leave no text relocation. The mitigation is policy, not code —
-// every polymorphic hot entry point (each DecisionEngine::decide override)
-// is annotated as its own root, so the closure never needs to follow a
-// vtable to cover it.
+// every hot entry point that could be reached indirectly (each decision
+// engine's decide) is annotated as its own root, so the closure never needs
+// to follow a vtable to cover it.
 #pragma once
 
 #include <cstddef>

@@ -21,8 +21,11 @@
 //   * fast-tier-hit speedup vs the stateless-lookup row < 2.0x (the
 //     in-process HMux tier, DESIGN.md §17; hits are cross-checked
 //     bit-identical to the engine first);
-//   * DUET_HOTPATH_BASELINE=<file> is set (CI regression gate) and pin-hit
-//     ns/packet exceeds 1.2x the checked-in baseline's pin_hit_ns.
+//   * DUET_HOTPATH_BASELINE=<file> is set (CI regression gate) and the
+//     MEDIAN of 5 pin-hit repetitions (each best of `passes`) exceeds 1.2x
+//     the checked-in baseline's pin_hit_ns. One repetition on a shared VM
+//     reads anywhere from 42 to 82 ns/pkt; the median does not follow one
+//     scheduler swing.
 // DUET_HOTPATH_RELAX=1 turns both into warnings (loaded dev machines).
 // Results land in BENCH_hotpath.json.
 #include <algorithm>
@@ -258,6 +261,13 @@ int main() {
 
   const Cost first_packet = measure(tuples.size(), 1, [&] { batch_all(mux, pkts); });
   const Cost pin_hit = measure(tuples.size(), passes, [&] { batch_all(mux, pkts); });
+  constexpr std::size_t kGateReps = 5;
+  std::vector<double> pin_reps{pin_hit.ns};
+  while (pin_reps.size() < kGateReps) {
+    pin_reps.push_back(measure(tuples.size(), passes, [&] { batch_all(mux, pkts); }).ns);
+  }
+  std::sort(pin_reps.begin(), pin_reps.end());
+  const double pin_hit_median = pin_reps[kGateReps / 2];
   batch_all(mux, rule_pkts);  // pin the port-rule flows
   const Cost port_rule = measure(tuples.size(), passes, [&] { batch_all(mux, rule_pkts); });
   if (mux.flow_table_size() != 2 * flow_count) {
@@ -415,6 +425,7 @@ int main() {
   out.gauge("duet.hotpath.batch").set(static_cast<double>(kBatch));
   out.gauge("duet.hotpath.pin_hit_ns").set(pin_hit.ns);
   out.gauge("duet.hotpath.pin_hit_cycles").set(pin_hit.cycles);
+  out.gauge("duet.hotpath.pin_hit_median_ns").set(pin_hit_median);
   out.gauge("duet.hotpath.first_packet_ns").set(first_packet.ns);
   out.gauge("duet.hotpath.first_packet_cycles").set(first_packet.cycles);
   out.gauge("duet.hotpath.port_rule_ns").set(port_rule.ns);
@@ -459,13 +470,14 @@ int main() {
     const double base_ns = read_baseline_pin_hit_ns(base);
     if (base_ns <= 0.0) {
       std::printf("WARNING: baseline %s unreadable, regression gate skipped\n", base);
-    } else if (pin_hit.ns > base_ns * 1.2) {
-      std::printf("%s: pin-hit %.1f ns/pkt regressed > 20%% vs baseline %.1f ns/pkt\n",
-                  strict ? "FAIL" : "WARNING", pin_hit.ns, base_ns);
+    } else if (pin_hit_median > base_ns * 1.2) {
+      std::printf("%s: pin-hit median of %zu %.1f ns/pkt regressed > 20%% vs baseline "
+                  "%.1f ns/pkt\n",
+                  strict ? "FAIL" : "WARNING", kGateReps, pin_hit_median, base_ns);
       failed = failed || strict;
     } else {
-      std::printf("OK: pin-hit %.1f ns/pkt within 20%% of baseline %.1f ns/pkt\n", pin_hit.ns,
-                  base_ns);
+      std::printf("OK: pin-hit median of %zu %.1f ns/pkt within 20%% of baseline %.1f ns/pkt\n",
+                  kGateReps, pin_hit_median, base_ns);
     }
   }
 

@@ -24,7 +24,8 @@
 //
 // The merged registries (mux + both generators + headline gauges) land in
 // BENCH_live.json. Exit status: 0 on success or a skipped sandbox, 1 when
-// the wire was corrupted (parse failures / integrity / remap violations) —
+// the wire was corrupted (parse failures / echo-ingress rejects /
+// integrity / remap violations) —
 // a real bug, not machine variance. A below-target pps prints a warning by
 // default (shared CI machines can't promise cycles); DUET_LIVE_STRICT=1
 // makes it exit 1 — the CI perf-smoke leg's acceptance gate.
@@ -78,6 +79,8 @@ int main() {
   }
   std::printf("batched io (recvmmsg/sendmmsg): %s\n",
               runtime::kBatchIoAvailable ? "available" : "fallback (one syscall per packet)");
+  std::printf("udp gso (one message per same-destination run): %s\n",
+              runtime::udp_gso_available() ? "available" : "unavailable");
 
   const bool quick = bench::quick_mode();
   const double duration_s = env_or("DUET_LIVE_SECONDS", quick ? 1.0 : 2.0);
@@ -101,19 +104,16 @@ int main() {
   runtime::FakeDipPool dips;
   std::vector<Ipv4Address> vips;
   std::vector<std::vector<Ipv4Address>> pools;  // per-VIP, reused by phase 3
-  std::vector<std::pair<Ipv4Address, runtime::Endpoint>> dip_endpoints;
   for (std::size_t v = 0; v < 2; ++v) {
     const Ipv4Address vip{static_cast<std::uint32_t>((100u << 24) + 256 * v + 1)};
     std::vector<Ipv4Address> pool;
     for (std::size_t d = 0; d < 4; ++d) {
       const Ipv4Address dip{static_cast<std::uint32_t>((10u << 24) + (v << 16) + d + 1)};
-      const auto at = dips.add_dip(dip);
-      if (!at.has_value()) {
+      if (!dips.add_dip(dip).has_value()) {
         std::printf("SKIP: could not bind echo DIP sockets\n");
         return 0;
       }
-      mux.map_dip(dip, *at);
-      dip_endpoints.emplace_back(dip, *at);
+      mux.map_dip(dip, dips.ingress());  // every DIP behind the one tunnel ingress
       pool.push_back(dip);
     }
     mux.set_vip(vip, pool);
@@ -234,7 +234,9 @@ int main() {
     amo.pin_cpus = true;
     amo.hasher = hasher;
     runtime::MuxServer agg_mux{amo, agg_cfg};
-    for (const auto& [dip, at] : dip_endpoints) agg_mux.map_dip(dip, at);
+    for (const auto& pool : pools) {
+      for (const Ipv4Address dip : pool) agg_mux.map_dip(dip, dips.ingress());
+    }
     for (std::size_t v = 0; v < vips.size(); ++v) agg_mux.set_vip(vips[v], pools[v]);
     if (!agg_mux.start()) {
       std::printf("\nphase 3: SKIP aggregate — could not start the pinned deployment\n");
@@ -309,6 +311,7 @@ int main() {
 
   const auto parse_failures = mux.metrics().counter("duet.runtime.parse_failures").value();
   const auto forwarded = mux.metrics().counter("duet.runtime.tx_packets").value();
+  const auto echo_rejects = dips.rejects();
   const double delivered_pps = open.elapsed_s > 0 ? open.received / open.elapsed_s : 0.0;
   TablePrinter t2{{"metric", "value"}};
   t2.add_row({"offered (pps)", TablePrinter::fmt(pps, "%.0f")});
@@ -317,6 +320,7 @@ int main() {
   t2.add_row({"mux forwarded (pkts)", TablePrinter::fmt_int(static_cast<long long>(forwarded))});
   t2.add_row({"send drops", TablePrinter::fmt_int(static_cast<long long>(open.send_drops))});
   t2.add_row({"parse failures", TablePrinter::fmt_int(static_cast<long long>(parse_failures))});
+  t2.add_row({"echo rejects", TablePrinter::fmt_int(static_cast<long long>(echo_rejects))});
   t2.print();
 
   // Everything into one registry for BENCH_live.json: the mux's counters,
@@ -350,8 +354,9 @@ int main() {
   out.gauge("duet.live.agg_fast_tier_misses").set(static_cast<double>(agg_fast_misses));
   bench::export_bench_json("live", out);
 
-  const auto corrupted = parse_failures + closed.integrity_failures + closed.remap_violations +
-                         open_violations + agg_parse_failures + agg_violations;
+  const auto corrupted = parse_failures + echo_rejects + closed.integrity_failures +
+                         closed.remap_violations + open_violations + agg_parse_failures +
+                         agg_violations;
   if (corrupted != 0) {
     std::printf("\nFAIL: %llu corrupted/remapped packets on the wire\n",
                 static_cast<unsigned long long>(corrupted));

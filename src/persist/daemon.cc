@@ -88,8 +88,11 @@ bool Duetd::start(std::string* error) {
   mux_ = std::make_unique<runtime::MuxServer>(mo, cfg);
 
   // Rebuild the serving path from the recovered controller: every VIP's pool
-  // into the worker replicas, an echo endpoint per DIP.
-  for (const Ipv4Address vip : store_->controller().vip_addresses()) push_vip(vip);
+  // and engine override into the worker replicas, an echo endpoint per DIP.
+  for (const Ipv4Address vip : store_->controller().vip_addresses()) {
+    push_vip(vip);
+    mux_->set_engine_override(vip, store_->controller().engine_override_of(vip));
+  }
 
   if (!dips_.start()) return set_error("failed to start the echo DIP pool");
   if (!mux_->start()) {
@@ -113,7 +116,10 @@ bool Duetd::start(std::string* error) {
     return set_error("ops socket: " + listen_error);
   }
   stop_accept_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  accept_thread_ = std::thread([this] {
+    runtime::name_this_thread("duet-ops");
+    accept_loop();
+  });
   started_ = true;
   return true;
 }
@@ -145,14 +151,13 @@ double Duetd::next_t_us() {
 }
 
 bool Duetd::ensure_dip_endpoint(Ipv4Address dip) {
-  if (dip_at_.contains(dip)) return true;
-  const auto at = dips_.add_dip(dip);
-  if (!at.has_value()) {
+  if (echoing_.contains(dip)) return true;
+  if (!dips_.add_dip(dip).has_value()) {
     DUET_LOG_WARN << "duetd: failed to bind an echo endpoint for DIP " << dip.to_string();
     return false;
   }
-  dip_at_.emplace(dip, *at);
-  mux_->map_dip(dip, *at);
+  echoing_.insert(dip);
+  mux_->map_dip(dip, dips_.ingress());
   return true;
 }
 
@@ -275,6 +280,11 @@ CtlResponse Duetd::handle(const std::vector<std::string>& argv) {
     for (std::size_t i = 2; i < argv.size(); ++i) {
       const auto dip = Ipv4Address::parse(argv[i]);
       if (!dip.has_value()) return usage("bad DIP address: " + argv[i]);
+      // A repeated DIP would hold two member slots, which remove-dip kills
+      // together; refused before it is journaled, so replay never sees it.
+      if (std::find(op.addrs.begin(), op.addrs.end(), dip->value()) != op.addrs.end()) {
+        return fail("DIP repeated in the pool: " + argv[i]);
+      }
       op.addrs.push_back(dip->value());
     }
     auto response = apply_checked(std::move(op), "added " + argv[1] + " with " +
@@ -335,14 +345,18 @@ CtlResponse Duetd::handle(const std::vector<std::string>& argv) {
     Op op;
     op.kind = OpKind::kSetEngineOverride;
     op.vip = *vip;
+    std::optional<SmuxEngine> engine;
     if (argv[2] != "clear") {
-      SmuxEngine engine;
-      if (!parse_smux_engine(argv[2].c_str(), &engine)) {
+      SmuxEngine parsed;
+      if (!parse_smux_engine(argv[2].c_str(), &parsed)) {
         return usage("engine must be stateful, stateless, or clear");
       }
-      op.engine = static_cast<std::uint8_t>(engine);
+      engine = parsed;
+      op.engine = static_cast<std::uint8_t>(parsed);
     }
-    return apply_checked(std::move(op), "engine override: " + argv[2]);
+    auto response = apply_checked(std::move(op), "engine override: " + argv[2]);
+    if (response.ok()) mux_->set_engine_override(*vip, engine);
+    return response;
   }
 
   if (cmd == "migrate") {

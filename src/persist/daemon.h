@@ -7,10 +7,10 @@
 //     UDP socket, kept in sync with the controller's VIP→DIP state via the
 //     tick-applied live-update queues;
 //   * a FakeDipPool: in-process echo backends standing in for real DIPs —
-//     every DIP the controller knows gets a loopback endpoint, mapped into
-//     the serving path (runtime-local state, deliberately NOT journaled: on
-//     restart the pool re-binds and the mapping is rebuilt from the
-//     recovered controller);
+//     every DIP the controller knows gets an echo endpoint behind the pool's
+//     one tunnel ingress, which the serving path maps every DIP to
+//     (runtime-local state, deliberately NOT journaled: on restart the pool
+//     re-binds and the mapping is rebuilt from the recovered controller);
 //   * an ops socket (persist/ctl_protocol.h): duetctl's add-vip / add-dip /
 //     migrate / stats / audit / snapshot / drain subcommands, one request
 //     per connection, served sequentially so mutations are totally ordered.
@@ -36,7 +36,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "duet/config.h"
@@ -107,8 +107,8 @@ class Duetd {
 
  private:
   void accept_loop();
-  // Binds an echo endpoint for `dip` (if not yet bound) and maps it into the
-  // serving path. False on bind failure.
+  // Binds an echo endpoint for `dip` (if not yet bound) and maps the DIP to
+  // the echo pool's ingress in the serving path. False on bind failure.
   bool ensure_dip_endpoint(Ipv4Address dip);
   // Renders the controller's current pool for `vip` into the MuxServer
   // (update or removal), binding echo endpoints for any new DIPs.
@@ -123,7 +123,7 @@ class Duetd {
   std::unique_ptr<PersistentController> store_;
   std::unique_ptr<runtime::MuxServer> mux_;
   runtime::FakeDipPool dips_;
-  std::unordered_map<Ipv4Address, runtime::Endpoint> dip_at_;
+  std::unordered_set<Ipv4Address> echoing_;  // DIPs with an echo endpoint
 
   std::mutex op_mu_;  // serializes handle() bodies (ops total order)
   double base_clock_us_ = 0.0;

@@ -134,6 +134,16 @@ void EventLoop::run(const std::atomic<bool>& stop, int tick_ms,
   if (tick_ms < 1) tick_ms = 1;
   auto last_tick = Clock::now();
 
+  // The tick runs BEFORE this iteration's read callbacks when a wake was
+  // drained, so a change queued before wake() applies to every datagram
+  // the callbacks read in the same iteration.
+  const auto tick_if_due = [&](bool woken) {
+    if (woken || elapsed_ms(last_tick) >= tick_ms) {
+      if (on_tick) on_tick();
+      last_tick = Clock::now();
+    }
+  };
+
   while (!stop.load(std::memory_order_acquire)) {
     const int waited = elapsed_ms(last_tick);
     const int timeout = waited >= tick_ms ? 0 : tick_ms - waited;
@@ -141,42 +151,41 @@ void EventLoop::run(const std::atomic<bool>& stop, int tick_ms,
 #if DUET_RUNTIME_HAVE_EPOLL
     epoll_event events[64];
     const int n = epoll_wait(impl_->epoll_fd, events, 64, timeout);
+    bool woken = false;
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.fd == impl_->wake_rd) {
+        impl_->drain_wake();
+        woken = true;
+      }
+    }
+    tick_if_due(woken);
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == impl_->wake_rd) {
-        impl_->drain_wake();
-        continue;
-      }
+      if (fd == impl_->wake_rd) continue;
       if (const auto it = impl_->callbacks.find(fd); it != impl_->callbacks.end()) it->second();
     }
 #else
     if (impl_->dirty) {
       impl_->pollset.clear();
-      impl_->pollset.push_back(pollfd{impl_->wake_rd, POLLIN, 0});
+      impl_->pollset.push_back(pollfd{impl_->wake_rd, POLLIN, 0});  // always slot 0
       for (const auto& [fd, cb] : impl_->callbacks) {
         impl_->pollset.push_back(pollfd{fd, POLLIN, 0});
       }
       impl_->dirty = false;
     }
     const int n = poll(impl_->pollset.data(), impl_->pollset.size(), timeout);
+    const bool woken = n > 0 && (impl_->pollset[0].revents & POLLIN) != 0;
+    if (woken) impl_->drain_wake();
+    tick_if_due(woken);
     if (n > 0) {
       for (const pollfd& p : impl_->pollset) {
-        if ((p.revents & POLLIN) == 0) continue;
-        if (p.fd == impl_->wake_rd) {
-          impl_->drain_wake();
-          continue;
-        }
+        if ((p.revents & POLLIN) == 0 || p.fd == impl_->wake_rd) continue;
         const auto it = impl_->callbacks.find(p.fd);
         if (it != impl_->callbacks.end()) it->second();
         if (impl_->dirty) break;  // callback mutated the fd set
       }
     }
 #endif
-
-    if (elapsed_ms(last_tick) >= tick_ms) {
-      if (on_tick) on_tick();
-      last_tick = Clock::now();
-    }
   }
 }
 

@@ -29,13 +29,16 @@ class EventLoop {
   bool remove(int fd);
 
   // Dispatches readiness callbacks until `stop` becomes true, invoking
-  // `on_tick` (if set) roughly every `tick_ms`. wake() and tick expiry both
-  // re-check `stop`, so shutdown latency is bounded by tick_ms even if
-  // wake() is never called.
+  // `on_tick` (if set) roughly every `tick_ms`, and also in the iteration
+  // that drains a wake(), before that iteration's read callbacks: work
+  // queued before a wake() (a live MuxServer update) applies at once, not up
+  // to tick_ms later, and to every datagram read after it. wake() and tick
+  // expiry both re-check `stop`, so shutdown latency is bounded by tick_ms
+  // even if wake() is never called.
   void run(const std::atomic<bool>& stop, int tick_ms,
            const std::function<void()>& on_tick = nullptr);
 
-  // Thread-safe: interrupts a blocked run() iteration.
+  // Thread-safe: interrupts a blocked run() iteration and runs its tick.
   void wake();
 
  private:

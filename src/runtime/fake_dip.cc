@@ -1,18 +1,29 @@
 #include "runtime/fake_dip.h"
 
+#include <algorithm>
+
 #include "net/wire.h"
 
 namespace duet::runtime {
 
-struct FakeDipPool::DipSock {
+namespace {
+// The pool thread's loop only waits for the ingress and for wake(); the
+// tick bounds shutdown latency should a wake be lost.
+constexpr int kTickMs = 100;
+}  // namespace
+
+struct FakeDipPool::Dip {
   Ipv4Address dip;
-  UdpSocket sock;
+  UdpSocket sock;  // answers only; nothing reads it
   std::atomic<std::uint64_t> packets{0};
-  std::atomic<std::uint64_t> rejects{0};
 };
 
-FakeDipPool::FakeDipPool(Options options) : opts_(options), io_(options.batch), rx_(options.batch) {
-  tx_.reserve(options.batch);  // fixed-size arena: pump never grows either array
+FakeDipPool::FakeDipPool(Options options)
+    : opts_(options), io_(options.batch), rx_(options.batch), reply_(options.batch) {
+  // Fixed-size arena: pump never grows any array.
+  order_.reserve(options.batch);
+  tx_.reserve(options.batch);
+  if (auto sock = UdpSocket::bind(Endpoint{opts_.bind_addr, 0})) ingress_ = std::move(*sock);
 }
 
 FakeDipPool::~FakeDipPool() {
@@ -20,52 +31,37 @@ FakeDipPool::~FakeDipPool() {
   join();
 }
 
+Endpoint FakeDipPool::ingress() const { return ingress_.valid() ? ingress_.local() : Endpoint{}; }
+
 std::optional<Endpoint> FakeDipPool::add_dip(Ipv4Address dip) {
   auto sock = UdpSocket::bind(Endpoint{opts_.bind_addr, 0});
   if (!sock) return std::nullopt;
   const Endpoint at = sock->local();
-  auto ds = std::make_unique<DipSock>(dip, std::move(*sock));
-  if (!running_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(dips_mu_);
-    dips_.push_back(std::move(ds));
-  } else {
-    // Live add: the socket already accepts (the kernel queues until the
-    // serving loop registers it on the next tick), so the returned endpoint
-    // can be mapped immediately.
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_.push_back(std::move(ds));
-    }
-    loop_.wake();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  added_.push_back(std::make_unique<Dip>(dip, std::move(*sock)));
+  has_added_.store(true, std::memory_order_release);
   return at;
 }
 
-void FakeDipPool::drain_pending() {
-  std::vector<std::unique_ptr<DipSock>> batch;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    if (pending_.empty()) return;
-    batch.swap(pending_);
+void FakeDipPool::adopt_added() {
+  std::lock_guard<std::mutex> lock(mu_);
+  has_added_.store(false, std::memory_order_relaxed);
+  for (auto& d : added_) {
+    index_.insert(d->dip, static_cast<std::uint32_t>(dips_.size()));
+    dips_.push_back(std::move(d));
   }
-  for (auto& ds : batch) {
-    loop_.add(ds->sock.fd(), [this, raw = ds.get()] { pump(*raw); });
-    std::lock_guard<std::mutex> lock(dips_mu_);
-    dips_.push_back(std::move(ds));
-  }
+  added_.clear();
 }
 
 bool FakeDipPool::start() {
-  if (thread_.joinable() || !loop_.ok()) return false;
+  if (thread_.joinable() || !loop_.ok() || !ingress_.valid()) return false;
+  adopt_added();
+  if (!loop_.add(ingress_.fd(), [this] { pump(); })) return false;
   stop_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(dips_mu_);
-    for (const auto& ds : dips_) {
-      if (!loop_.add(ds->sock.fd(), [this, raw = ds.get()] { pump(*raw); })) return false;
-    }
-  }
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { loop_.run(stop_, opts_.tick_ms, [this] { drain_pending(); }); });
+  thread_ = std::thread([this] {
+    name_this_thread("duet-echo");
+    loop_.run(stop_, kTickMs);
+  });
   return true;
 }
 
@@ -76,55 +72,64 @@ void FakeDipPool::shutdown() {
 
 void FakeDipPool::join() {
   if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
 }
 
 std::uint64_t FakeDipPool::packets_at(Ipv4Address dip) const {
-  std::lock_guard<std::mutex> lock(dips_mu_);
-  for (const auto& ds : dips_) {
-    if (ds->dip == dip) return ds->packets.load(std::memory_order_relaxed);
-  }
-  return 0;
-}
-
-std::uint64_t FakeDipPool::rejects_at(Ipv4Address dip) const {
-  std::lock_guard<std::mutex> lock(dips_mu_);
-  for (const auto& ds : dips_) {
-    if (ds->dip == dip) return ds->rejects.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& d : dips_) {
+    if (d->dip == dip) return d->packets.load(std::memory_order_relaxed);
   }
   return 0;
 }
 
 std::uint64_t FakeDipPool::total_packets() const {
-  std::lock_guard<std::mutex> lock(dips_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& ds : dips_) total += ds->packets.load(std::memory_order_relaxed);
+  for (const auto& d : dips_) total += d->packets.load(std::memory_order_relaxed);
   return total;
 }
 
-void FakeDipPool::pump(DipSock& ds) {
+void FakeDipPool::pump() {
   for (;;) {
-    const std::size_t n = io_.recv_batch(ds.sock.fd(), rx_);
+    const std::size_t n = io_.recv_batch(ingress_.fd(), rx_);
     if (n == 0) break;
-    tx_.clear();
+    // A DIP added before a mux could forward to it is adopted before this
+    // batch is dispatched (add_dip's contract).
+    if (has_added_.load(std::memory_order_acquire)) adopt_added();
+
+    // Only properly encapsulated datagrams naming an added DIP echo;
+    // anything else (stray traffic, un-tunneled packets) is rejected, so a
+    // mux bug that skips encap shows up as rejects, not silent success.
+    order_.clear();
     std::uint64_t rejects = 0;
-    for (const RxPacket& p : std::span<const RxPacket>(rx_.data(), n)) {
-      // Only properly encapsulated datagrams addressed to THIS DIP echo;
-      // anything else (stray traffic, un-tunneled packets) is rejected, so a
-      // mux bug that skips encap shows up as rejects, not silent success.
-      // peek_encap validates exactly like parse_packet but allocates nothing.
-      const auto peek = peek_encap(p.bytes);
-      if (!peek.has_value() || peek->outer_dst != ds.dip) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<std::uint8_t> bytes = rx_[i].bytes;
+      const auto peek = peek_encap(bytes);
+      const std::uint32_t* slot = peek.has_value() ? index_.find(peek->outer_dst) : nullptr;
+      if (slot == nullptr) {
         ++rejects;
         continue;
       }
-      const auto inner = p.bytes.subspan(kIpv4HeaderBytes);  // decap: drop the outer header
-      tx_.push_back(TxPacket{inner.data(), inner.size(),
-                             Endpoint{opts_.reply_addr, peek->inner_src_port}});
+      const auto inner = bytes.subspan(kIpv4HeaderBytes);  // decap: drop the outer header
+      reply_[i] = TxPacket{inner.data(), inner.size(),
+                           Endpoint{opts_.reply_addr, peek->inner_src_port}};
+      order_.push_back((std::uint64_t{*slot} << 32) | i);
     }
-    ds.packets.fetch_add(n, std::memory_order_relaxed);
-    if (rejects > 0) ds.rejects.fetch_add(rejects, std::memory_order_relaxed);
-    io_.send_batch(ds.sock.fd(), tx_, 5);
+    if (rejects > 0) rejects_.fetch_add(rejects, std::memory_order_relaxed);
+
+    // Group per DIP, keeping arrival order within each DIP: the keys are
+    // unique, so sorting them is stable by construction.
+    std::sort(order_.begin(), order_.end());
+    for (std::size_t k = 0; k < order_.size();) {
+      const auto slot = static_cast<std::uint32_t>(order_[k] >> 32);
+      tx_.clear();
+      for (; k < order_.size() && (order_[k] >> 32) == slot; ++k) {
+        tx_.push_back(reply_[order_[k] & 0xffffffffu]);
+      }
+      Dip& d = *dips_[slot];
+      d.packets.fetch_add(tx_.size(), std::memory_order_relaxed);
+      io_.send_batch(d.sock.fd(), tx_, 5);
+    }
     if (n < io_.batch()) break;
   }
 }

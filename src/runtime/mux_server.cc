@@ -14,13 +14,14 @@
 namespace duet::runtime {
 
 struct MuxServer::PendingUpdate {
-  enum class Kind : std::uint8_t { kSetVip, kRemoveVip, kRemoveDip, kMapDip };
+  enum class Kind : std::uint8_t { kSetVip, kRemoveVip, kRemoveDip, kMapDip, kSetEngine };
   Kind kind = Kind::kSetVip;
   Ipv4Address vip;
   std::vector<Ipv4Address> dips;
   std::vector<std::uint32_t> weights;
   Ipv4Address dip;
   Endpoint at;
+  std::optional<SmuxEngine> engine;
 };
 
 struct MuxServer::Worker {
@@ -137,6 +138,17 @@ void MuxServer::drain_updates(Worker& worker) {
       case PendingUpdate::Kind::kMapDip:
         worker.dip_map.insert(u.dip, u.at);  // post-decision; tier unaffected
         break;
+      case PendingUpdate::Kind::kSetEngine: {
+        const SmuxEngine before = worker.smux.engine_for(u.vip);
+        if (u.engine.has_value()) {
+          worker.smux.set_engine_override(u.vip, *u.engine);
+        } else {
+          worker.smux.clear_engine_override(u.vip);
+        }
+        // Admission depends on the engine (stateless VIPs only).
+        if (worker.smux.engine_for(u.vip) != before) worker.fast_dirty = true;
+        break;
+      }
     }
   }
 }
@@ -201,6 +213,20 @@ void MuxServer::map_dip(Ipv4Address dip, Endpoint at) {
   enqueue_update(u);
 }
 
+void MuxServer::set_engine_override(Ipv4Address vip, std::optional<SmuxEngine> engine) {
+  std::lock_guard<std::mutex> lock(config_mu_);
+  if (engine.has_value()) {
+    engine_overrides_.insert(vip, *engine);
+  } else {
+    engine_overrides_.erase(vip);
+  }
+  PendingUpdate u;
+  u.kind = PendingUpdate::Kind::kSetEngine;
+  u.vip = vip;
+  u.engine = engine;
+  enqueue_update(u);
+}
+
 bool MuxServer::start() {
   if (running()) return false;
   workers_.clear();
@@ -229,6 +255,8 @@ bool MuxServer::start() {
       }
     }
     Smux smux(static_cast<std::uint32_t>(w), opts_.hasher, config_, opts_.self);
+    engine_overrides_.for_each(
+        [&smux](Ipv4Address vip, SmuxEngine engine) { smux.set_engine_override(vip, engine); });
     for (const VipRecord& rec : vips_) smux.set_vip(rec.vip, rec.dips, rec.weights);
     const std::string prefix = "duet.runtime.smux.w" + std::to_string(w) + ".";
     smux.bind_telemetry(registry_, prefix);
@@ -311,6 +339,9 @@ void MuxServer::fold_stats(Worker& worker) {
 
 void MuxServer::serve(std::size_t index) {
   Worker& worker = *workers_[index];
+  std::string name = "duet-mux";
+  name.append(std::to_string(index));
+  name_this_thread(name.c_str());
   if (opts_.pin_cpus) {
     // Best-effort: a refused pin (non-Linux, sandboxed cpuset) serves
     // unpinned — the fallback ISSUE'd for restricted environments.

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -48,7 +49,7 @@ struct MuxServerOptions {
   Endpoint listen{Ipv4Address{127, 0, 0, 1}, 0};  // port 0 = kernel-assigned
   std::size_t workers = 1;
   std::size_t batch = 64;    // datagrams per recvmmsg/sendmmsg
-  int tick_ms = 50;          // event-loop tick (updates, flow expiry, stats fold)
+  int tick_ms = 50;          // event-loop tick (flow expiry, stats fold; also runs on wake)
   int drain_wait_ms = 100;   // post-shutdown flush budget per worker
   // Flow-table slots scanned per event-loop tick by the incremental idle
   // evictor (Smux::expire_flows_step). Bounds eviction work per tick so GC
@@ -81,11 +82,12 @@ class MuxServer {
   // One set of calls, named after the Smux calls they make, valid both
   // before and after start(). Each records the desired configuration (what
   // start() seeds the workers from and what audit_snapshot renders). On a
-  // running server it also queues the change on every worker, applied on
-  // that worker's next event-loop tick: the hot path never takes a lock
-  // (each worker owns its Smux replica and its own DIP→endpoint map copy),
-  // so convergence is bounded by tick_ms. Thread-safe, but not concurrent
-  // with start().
+  // running server it also queues the change on every worker and wakes it;
+  // the worker applies its queue in the loop iteration that drains the wake
+  // (EventLoop::run), before that iteration's reads; a pump already running
+  // finishes first. The hot path never takes a lock: each worker owns its
+  // Smux replica and its own DIP→endpoint map copy. Thread-safe, but not
+  // concurrent with start().
   //
   // Creates or replaces the VIP's whole pool (Smux::set_vip): stateful pins
   // survive, stateless buckets keep their version until they drain (§5.2).
@@ -100,8 +102,13 @@ class MuxServer {
   // Where packets whose chosen DIP is `dip` are actually forwarded. A DIP
   // without a mapping drops (counted in duet.runtime.unmapped_dip).
   void map_dip(Ipv4Address dip, Endpoint at);
-  // Requests a fast-tier re-snapshot on every worker (applied on the next
-  // tick, like the update queue). VIP changes trigger one implicitly; this
+  // Sets (or, with nullopt, clears) the VIP's engine override
+  // (Smux::set_engine_override / clear_engine_override). The worker's fast
+  // tier is re-snapshotted only when the VIP's effective engine changed, so
+  // a repeated or redundant override costs the workers nothing.
+  void set_engine_override(Ipv4Address vip, std::optional<SmuxEngine> engine);
+  // Requests a fast-tier re-snapshot on every worker (applied when the wake
+  // runs the worker's tick, like the update queue). VIP changes trigger one implicitly; this
   // is the explicit controller/duetd epoch push (kFastTierRebuild).
   void rebuild_fast_tier();
 
@@ -193,6 +200,7 @@ class MuxServer {
   // audit_snapshot renders). Guarded by config_mu_.
   std::mutex config_mu_;
   std::vector<VipRecord> vips_;
+  util::FlatTable<Ipv4Address, SmuxEngine> engine_overrides_;
   // Seed copy for workers; each worker serves from its OWN copy so the
   // per-packet DIP→endpoint hop is one unshared cache line.
   util::FlatTable<Ipv4Address, Endpoint> dip_map_;

@@ -22,8 +22,17 @@
 #endif
 
 #if defined(__linux__)
+#include <netinet/udp.h>
 #include <pthread.h>
 #include <sched.h>
+#endif
+
+// UDP GSO needs the UDP_SEGMENT socket option (Linux >= 4.18, glibc headers
+// >= 2.29); without it send_batch sends one datagram per message.
+#if DUET_RUNTIME_HAVE_MMSG && defined(UDP_SEGMENT)
+#define DUET_RUNTIME_HAVE_GSO 1
+#else
+#define DUET_RUNTIME_HAVE_GSO 0
 #endif
 
 namespace duet::runtime {
@@ -36,6 +45,34 @@ std::size_t online_cpus() noexcept {
   return n > 0 ? static_cast<std::size_t>(n) : 1;
 #else
   return 1;
+#endif
+}
+
+void name_this_thread(const char* name) noexcept {
+#if defined(__linux__)
+  char cut[16];
+  std::strncpy(cut, name, sizeof(cut) - 1);
+  cut[sizeof(cut) - 1] = '\0';
+  (void)pthread_setname_np(pthread_self(), cut);
+#else
+  (void)name;
+#endif
+}
+
+bool udp_gso_available() noexcept {
+#if DUET_RUNTIME_HAVE_GSO
+  static const bool available = [] {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    if (fd < 0) return false;
+    int segment = 0;
+    socklen_t len = sizeof(segment);
+    const bool ok = getsockopt(fd, SOL_UDP, UDP_SEGMENT, &segment, &len) == 0;
+    ::close(fd);
+    return ok;
+  }();
+  return available;
+#else
+  return false;
 #endif
 }
 
@@ -53,6 +90,22 @@ bool pin_thread_to_cpu(std::size_t cpu) noexcept {
 }
 
 namespace {
+
+#if DUET_RUNTIME_HAVE_MMSG
+// The kernel's limits on one UDP_SEGMENT message: UDP_MAX_SEGMENTS was 64
+// until Linux 6.9, and the payload must fit one IPv4 UDP datagram
+// (65535 - 20-byte IP header - 8-byte UDP header).
+constexpr std::size_t kGsoMaxSegments = 64;
+constexpr std::size_t kGsoMaxBytes = 65507;
+#endif
+
+#if DUET_RUNTIME_HAVE_GSO
+// One message's UDP_SEGMENT control block, aligned for cmsghdr.
+union GsoCmsg {
+  char buf[CMSG_SPACE(sizeof(std::uint16_t))];
+  cmsghdr align;
+};
+#endif
 
 sockaddr_in to_sockaddr(Endpoint e) {
   sockaddr_in sa{};
@@ -146,8 +199,15 @@ struct BatchIo::Scratch {
 #if DUET_RUNTIME_HAVE_MMSG
   std::vector<mmsghdr> rx_hdrs;
   std::vector<iovec> rx_iovs;
+  // One tx message per run: tx_hdrs[m] covers tx_count[m] datagrams, whose
+  // iovecs are consecutive in tx_iovs (one iovec per datagram).
   std::vector<mmsghdr> tx_hdrs;
   std::vector<iovec> tx_iovs;
+  std::vector<std::uint32_t> tx_count;
+  bool gso = false;  // udp_gso_available(), read once at construction
+#endif
+#if DUET_RUNTIME_HAVE_GSO
+  std::vector<GsoCmsg> tx_gso;  // cmsg headers prefilled; only the size varies
 #endif
   std::vector<sockaddr_in> rx_addrs;
   std::vector<sockaddr_in> tx_addrs;
@@ -167,6 +227,7 @@ BatchIo::BatchIo(std::size_t batch, std::size_t mtu, std::size_t headroom)
   scratch_->rx_iovs.resize(batch_);
   scratch_->tx_hdrs.resize(batch_);
   scratch_->tx_iovs.resize(batch_);
+  scratch_->tx_count.resize(batch_);
   for (std::size_t i = 0; i < batch_; ++i) {
     scratch_->rx_iovs[i].iov_base = pool_.data() + i * stride_ + headroom_;
     scratch_->rx_iovs[i].iov_len = mtu_;
@@ -175,6 +236,15 @@ BatchIo::BatchIo(std::size_t batch, std::size_t mtu, std::size_t headroom)
     mh.msg_name = &scratch_->rx_addrs[i];
     mh.msg_iov = &scratch_->rx_iovs[i];
     mh.msg_iovlen = 1;
+  }
+#endif
+#if DUET_RUNTIME_HAVE_GSO
+  scratch_->gso = udp_gso_available();
+  scratch_->tx_gso.resize(batch_);
+  for (GsoCmsg& c : scratch_->tx_gso) {
+    c.align.cmsg_level = SOL_UDP;
+    c.align.cmsg_type = UDP_SEGMENT;
+    c.align.cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
   }
 #endif
 }
@@ -222,37 +292,70 @@ DUET_HOT std::size_t BatchIo::recv_batch(int fd, std::span<RxPacket> out) {
 DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items,
                                          int flush_wait_ms) {
   std::size_t sent = 0;
-  while (sent < items.size()) {
-    const std::size_t chunk = std::min(items.size() - sent, batch_);
 #if DUET_RUNTIME_HAVE_MMSG
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const TxPacket& t = items[sent + i];
-      scratch_->tx_addrs[i] = to_sockaddr(t.to);
-      scratch_->tx_iovs[i].iov_base = const_cast<std::uint8_t*>(t.data);
-      scratch_->tx_iovs[i].iov_len = t.len;
-      msghdr& mh = scratch_->tx_hdrs[i].msg_hdr;
+  Scratch& s = *scratch_;
+  bool coalesce = s.gso;
+  while (sent < items.size()) {
+    // Pack up to batch() datagrams into messages, one per run (see udp.h).
+    const std::size_t chunk = std::min(items.size() - sent, batch_);
+    std::size_t msgs = 0;
+    for (std::size_t i = 0; i < chunk;) {
+      const TxPacket& head = items[sent + i];
+      std::size_t run = 1;
+      if (coalesce && head.len > 0) {
+        const std::size_t cap = std::min(kGsoMaxSegments, kGsoMaxBytes / head.len);
+        while (run < cap && i + run < chunk && items[sent + i + run].len == head.len &&
+               items[sent + i + run].to == head.to) {
+          ++run;
+        }
+      }
+      for (std::size_t k = 0; k < run; ++k) {
+        const TxPacket& t = items[sent + i + k];
+        s.tx_iovs[i + k].iov_base = const_cast<std::uint8_t*>(t.data);
+        s.tx_iovs[i + k].iov_len = t.len;
+      }
+      s.tx_addrs[msgs] = to_sockaddr(head.to);
+      msghdr& mh = s.tx_hdrs[msgs].msg_hdr;
       mh = msghdr{};
-      mh.msg_name = &scratch_->tx_addrs[i];
+      mh.msg_name = &s.tx_addrs[msgs];
       mh.msg_namelen = sizeof(sockaddr_in);
-      mh.msg_iov = &scratch_->tx_iovs[i];
-      mh.msg_iovlen = 1;
+      mh.msg_iov = &s.tx_iovs[i];
+      mh.msg_iovlen = run;
+#if DUET_RUNTIME_HAVE_GSO
+      if (run > 1) {
+        GsoCmsg& c = s.tx_gso[msgs];
+        const auto segment = static_cast<std::uint16_t>(head.len);
+        std::memcpy(CMSG_DATA(&c.align), &segment, sizeof(segment));
+        mh.msg_control = c.buf;
+        mh.msg_controllen = sizeof(c.buf);
+      }
+#endif
+      s.tx_count[msgs] = static_cast<std::uint32_t>(run);
+      ++msgs;
+      i += run;
     }
-    std::size_t done = 0;
-    while (done < chunk) {
-      const int n = sendmmsg(fd, scratch_->tx_hdrs.data() + done,
-                             static_cast<unsigned>(chunk - done), 0);
+    std::size_t done = 0;  // messages of this chunk the kernel took
+    while (done < msgs) {
+      const int n = sendmmsg(fd, s.tx_hdrs.data() + done, static_cast<unsigned>(msgs - done), 0);
       if (n > 0) {
+        for (int m = 0; m < n; ++m) sent += s.tx_count[done + static_cast<std::size_t>(m)];
         done += static_cast<std::size_t>(n);
         continue;
+      }
+      if ((errno == EINVAL || errno == EIO) && s.tx_count[done] > 1) {
+        coalesce = false;  // GSO refused: resend the rest one datagram per message
+        break;
       }
       if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) && flush_wait_ms > 0 &&
           wait_writable(fd, flush_wait_ms)) {
         continue;
       }
-      return sent + done;  // persistent backpressure or a hard error: drop the rest
+      return sent;  // persistent backpressure or a hard error: drop the rest
     }
-    sent += done;
+  }
 #else
+  while (sent < items.size()) {
+    const std::size_t chunk = std::min(items.size() - sent, batch_);
     for (std::size_t i = 0; i < chunk; ++i) {
       const TxPacket& t = items[sent + i];
       const sockaddr_in sa = to_sockaddr(t.to);
@@ -268,8 +371,8 @@ DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items
       }
     }
     sent += chunk;
-#endif
   }
+#endif
   return sent;
 }
 

@@ -9,6 +9,15 @@
 // (kBatchIoAvailable tells callers which world they are in, so CI legs can
 // skip throughput assertions gracefully).
 //
+// Sends go one step further where the kernel offers UDP GSO (UDP_SEGMENT,
+// Linux >= 4.18): send_batch hands each run of consecutive equal-length
+// datagrams to one destination to the kernel as ONE message, which the
+// kernel splits back into the original datagrams (DESIGN.md §12). A loopback
+// sendmmsg costs about as much per message as per datagram, so a mux batch
+// to one tunnel endpoint (runtime/fake_dip.h's ingress) costs one message
+// instead of one per packet. The receiver needs nothing: a socket without
+// UDP_GRO gets every datagram separately, byte-identical.
+//
 // Buffers carry kIpv4HeaderBytes of HEADROOM in front of every received
 // datagram, sized for exactly one more encap layer: the mux writes the outer
 // IP-in-IP header into the headroom (wire.h encapsulate_on_wire) and
@@ -33,12 +42,24 @@ namespace duet::runtime {
 // recvfrom/sendto fallback.
 extern const bool kBatchIoAvailable;
 
+// True when the kernel supports UDP GSO and send_batch coalesces runs.
+// Detected once, positively: getsockopt(SOL_UDP, UDP_SEGMENT) succeeds on a
+// probe socket (kernels before 4.18 refuse it). Never inferred from a send:
+// a kernel that ignored the cmsg would emit a run as one concatenated
+// datagram.
+bool udp_gso_available() noexcept;
+
 // CPU affinity for the sharded-worker scale-out (MuxServerOptions::pin_cpus):
 // pins the CALLING thread to `cpu`. Returns false when pinning is
 // unsupported (non-Linux) or refused (sandboxed cpuset, cpu offline) —
 // callers degrade to unpinned, never fail. online_cpus() never returns 0.
 bool pin_thread_to_cpu(std::size_t cpu) noexcept;
 std::size_t online_cpus() noexcept;
+
+// Names the CALLING thread (at most 15 characters; longer names are cut) so
+// `top -H` and /proc/<pid>/task/<tid>/comm tell the serving threads apart.
+// A no-op where unsupported.
+void name_this_thread(const char* name) noexcept;
 
 // A real (kernel-routable) UDP endpoint. Distinct from the SIMULATED
 // addresses inside the wire format: the runtime maps simulated DIP/client
@@ -118,7 +139,16 @@ class BatchIo {
 
   // Sends as many of `items` as the socket accepts, in order, waiting up to
   // `flush_wait_ms` for buffer space before giving up on the remainder.
-  // Returns the number actually handed to the kernel.
+  // Returns the number of datagrams actually handed to the kernel.
+  //
+  // With udp_gso_available(), each run of consecutive datagrams with the
+  // same length and destination becomes one sendmmsg message carrying a
+  // UDP_SEGMENT cmsg (at most 64 segments and 65,507 payload bytes; a run
+  // of one stays a plain message). The iovecs still point at the callers'
+  // buffers (zero copy), and the message count sendmmsg returns is mapped
+  // back to datagrams. A coalesced message the kernel refuses at send time
+  // (EINVAL/EIO: a route MTU below the segment, SO_NO_CHECK on the socket)
+  // is resent, with the rest of the call, one datagram per message.
   std::size_t send_batch(int fd, std::span<const TxPacket> items, int flush_wait_ms = 5);
 
  private:

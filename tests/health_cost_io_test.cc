@@ -2,8 +2,11 @@
 // model (§1/§2.2), and trace serialization.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "duet/controller.h"
 #include "duet/cost.h"
@@ -149,7 +152,14 @@ class TraceIoTest : public ::testing::Test {
     p.total_gbps = 60.0;
     p.epochs = 3;
     trace_ = generate_trace(fabric_, p);
-    path_ = std::filesystem::temp_directory_path() / "duet_trace_test.txt";
+    // One file per test and process: ctest runs these tests as parallel
+    // processes, which must not share (and delete) one file.
+    std::string name = "duet_trace_test_";
+    name.append(std::to_string(::getpid()))
+        .append("_")
+        .append(::testing::UnitTest::GetInstance()->current_test_info()->name())
+        .append(".txt");
+    path_ = std::filesystem::temp_directory_path() / name;
   }
   ~TraceIoTest() override { std::filesystem::remove(path_); }
 

@@ -1067,6 +1067,93 @@ TEST(PersistDaemon, RemoveDipRemapsOnlyItsFlowsStateless) {
   expect_remove_dip_remaps_only_its_flows(SmuxEngine::kStateless);
 }
 
+// Pinned flows across the serving workers, as `stats` reports them.
+unsigned long long flows_in(Duetd& daemon) {
+  const auto response = daemon.handle({"stats"});
+  EXPECT_TRUE(response.ok());
+  const auto pos = response.text.find("| flows ");
+  EXPECT_NE(pos, std::string::npos) << response.text;
+  return pos == std::string::npos ? 0ull
+                                  : std::strtoull(response.text.c_str() + pos + 8, nullptr, 10);
+}
+
+// A pool naming one DIP twice would hold two member slots, and a later
+// remove-dip of that DIP would kill both and abort on the last member, on
+// every replay. add-vip refuses it before the journal sees it.
+TEST(PersistDaemon, AddVipRefusesARepeatedDipBeforeJournaling) {
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.snapshot_every_ops = 0;  // the restart replays every op
+  {
+    Duetd daemon{opts};
+    std::string error;
+    if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+    const auto seq = daemon.store().last_seq();
+    const auto refused = daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.1"});
+    EXPECT_EQ(refused.status, 1) << refused.text;
+    EXPECT_EQ(daemon.store().last_seq(), seq) << "the refused op was journaled";
+    ASSERT_TRUE(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2"}).ok());
+    ASSERT_TRUE(daemon.handle({"remove-dip", "100.0.1.1", "10.0.0.1"}).ok());
+    daemon.stop(/*snapshot=*/false);  // kill -9
+  }
+  Duetd reborn{opts};
+  std::string error;
+  ASSERT_TRUE(reborn.start(&error)) << error;
+  EXPECT_EQ(reborn.store().controller().dips_of(Ipv4Address{100, 0, 1, 1}),
+            std::vector<Ipv4Address>{Ipv4Address(10, 0, 0, 2)});
+  EXPECT_TRUE(reborn.handle({"audit"}).ok());
+  reborn.stop(false);
+}
+
+// `set-engine` reaches the serving workers, and so does a recovered
+// override: a stateful duetd serving a VIP overridden to stateless pins none
+// of its flows, before and after a kill -9 restart; clearing the override
+// pins them again.
+TEST(PersistDaemon, SetEngineReachesTheServingWorkers) {
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.mux_workers = 2;
+  opts.snapshot_every_ops = 0;
+  const Ipv4Address vip{100, 0, 1, 1};
+  const auto run_flows = [&vip](Duetd& daemon) {
+    runtime::LoadGenOptions lo;
+    lo.target = daemon.listen_endpoint();
+    lo.sockets = 2;  // both SO_REUSEPORT workers
+    lo.packet_bytes = 64;
+    runtime::LoadGenerator gen{lo};
+    EXPECT_TRUE(gen.init());
+    const auto flows = gen.make_flows(std::vector<Ipv4Address>{vip}, 32);
+    const auto report = gen.run_closed(flows, 128);
+    for (const auto& at : report.dip_by_flow) EXPECT_NE(at.port, 0) << "a flow went unanswered";
+  };
+  {
+    Duetd daemon{opts};
+    std::string error;
+    if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+    ASSERT_TRUE(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3"}).ok());
+    ASSERT_TRUE(daemon.handle({"set-engine", "100.0.1.1", "stateless"}).ok());
+    run_flows(daemon);
+    EXPECT_EQ(flows_in(daemon), 0u);
+    daemon.stop(/*snapshot=*/false);  // kill -9
+  }
+  Duetd reborn{opts};
+  std::string error;
+  ASSERT_TRUE(reborn.start(&error)) << error;
+  run_flows(reborn);
+  EXPECT_EQ(flows_in(reborn), 0u) << "the recovered override did not reach the workers";
+
+  ASSERT_TRUE(reborn.handle({"set-engine", "100.0.1.1", "clear"}).ok());
+  run_flows(reborn);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (flows_in(reborn) != 32u && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(flows_in(reborn), 32u);
+  reborn.stop(false);
+}
+
 // `stats` runs on the ops thread while the workers serve; its flow count
 // must come from state the workers publish (TSan checks the "no data race"
 // half), and it must be exact once traffic stops.
@@ -1083,16 +1170,6 @@ TEST(PersistDaemon, StatsReadsTheFlowCountWhileWorkersServe) {
           .ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  const auto flows_in = [&daemon] {
-    const auto response = daemon.handle({"stats"});
-    EXPECT_TRUE(response.ok());
-    const auto pos = response.text.find("| flows ");
-    EXPECT_NE(pos, std::string::npos) << response.text;
-    return pos == std::string::npos
-               ? 0ull
-               : std::strtoull(response.text.c_str() + pos + 8, nullptr, 10);
-  };
-
   runtime::LoadGenOptions lo;
   lo.target = daemon.listen_endpoint();
   lo.sockets = 2;
@@ -1107,7 +1184,7 @@ TEST(PersistDaemon, StatsReadsTheFlowCountWhileWorkersServe) {
   });
   std::size_t polls = 0;
   while (!done.load(std::memory_order_acquire)) {
-    EXPECT_LE(flows_in(), flows.size());
+    EXPECT_LE(flows_in(daemon), flows.size());
     ++polls;
   }
   load.join();
@@ -1116,10 +1193,10 @@ TEST(PersistDaemon, StatsReadsTheFlowCountWhileWorkersServe) {
   // Once traffic stops, every worker's last batch has published its exact
   // table size.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (flows_in() != flows.size() && std::chrono::steady_clock::now() < deadline) {
+  while (flows_in(daemon) != flows.size() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(flows_in(), flows.size());
+  EXPECT_EQ(flows_in(daemon), flows.size());
   daemon.stop(/*snapshot=*/false);
 }
 

@@ -73,6 +73,9 @@ bool Smux::remove_port_rule(Ipv4Address vip, std::uint16_t dst_port) {
 }
 
 bool Smux::remove_vip(Ipv4Address vip) {
+  // The override goes with the VIP: a VIP added again under the same address
+  // starts on the default engine, as a replica rebuilt from the journal does.
+  engine_overrides_.erase(vip);
   if (!vips_.erase(vip)) return false;
   stateful_.pool_removed(vip_pool_id(vip), vip, 0.0);
   if (stateless_ != nullptr) stateless_->pool_removed(vip_pool_id(vip), vip, 0.0);

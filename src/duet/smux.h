@@ -107,8 +107,7 @@ class Smux {
 
   // --- engine selection -------------------------------------------------------
   // The engine deciding a VIP's flows: the per-VIP override if set, else the
-  // DuetConfig::smux_engine default. Overrides survive remove_vip (the VIP
-  // may come back on the same policy).
+  // DuetConfig::smux_engine default. remove_vip drops the VIP's override.
   SmuxEngine engine_for(Ipv4Address vip) const {
     const SmuxEngine* o = engine_overrides_.find(vip);
     return o != nullptr ? *o : config_.smux_engine;

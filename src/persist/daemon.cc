@@ -219,16 +219,24 @@ CtlResponse Duetd::handle(const std::vector<std::string>& argv) {
     const auto* fh = mux_->metrics().find_counter("duet.runtime.fast_tier.hits");
     const auto* fm = mux_->metrics().find_counter("duet.runtime.fast_tier.misses");
     const auto* fr = mux_->metrics().find_counter("duet.runtime.fast_tier.rebuilds");
+    const auto* tm = mux_->metrics().find_counter("duet.runtime.tx_messages");
+    const auto* tt = mux_->metrics().find_counter("duet.runtime.tx_gso_trains");
+    const auto value = [](const telemetry::Counter* c) {
+      return static_cast<unsigned long long>(c != nullptr ? c->value() : 0);
+    };
+    // Every message that is not a train carries one datagram; the rest of
+    // the forwarded datagrams rode in the trains. A worker folds these
+    // counters one by one, so a read while it serves is clamped at 0.
+    const unsigned long long trains = value(tt);
+    const unsigned long long singles = std::max(value(tm), trains) - trains;
+    const unsigned long long in_trains = std::max(value(tx), singles) - singles;
     std::snprintf(buf, sizeof(buf),
                   "rx %llu | tx %llu | flows %zu | dip packets %llu\n"
-                  "fast tier: %llu hits | %llu misses | %llu rebuilds",
-                  static_cast<unsigned long long>(rx != nullptr ? rx->value() : 0),
-                  static_cast<unsigned long long>(tx != nullptr ? tx->value() : 0),
-                  mux_->flow_table_size(),
-                  static_cast<unsigned long long>(dips_.total_packets()),
-                  static_cast<unsigned long long>(fh != nullptr ? fh->value() : 0),
-                  static_cast<unsigned long long>(fm != nullptr ? fm->value() : 0),
-                  static_cast<unsigned long long>(fr != nullptr ? fr->value() : 0));
+                  "fast tier: %llu hits | %llu misses | %llu rebuilds\n"
+                  "send: %llu messages | %llu gso trains carrying %llu datagrams",
+                  value(rx), value(tx), mux_->flow_table_size(),
+                  static_cast<unsigned long long>(dips_.total_packets()), value(fh), value(fm),
+                  value(fr), value(tm), trains, in_trains);
     return ok(text + buf);
   }
 

@@ -91,6 +91,8 @@ MuxServer::MuxServer(MuxServerOptions options, DuetConfig config)
   tm_unmapped_dip_ = &registry_.counter("duet.runtime.unmapped_dip");
   tm_tx_drops_ = &registry_.counter("duet.runtime.tx_drops");
   tm_rx_batches_ = &registry_.counter("duet.runtime.rx_batches");
+  tm_tx_messages_ = &registry_.counter("duet.runtime.tx_messages");
+  tm_tx_gso_trains_ = &registry_.counter("duet.runtime.tx_gso_trains");
   tm_fast_hits_ = &registry_.counter("duet.runtime.fast_tier.hits");
   tm_fast_misses_ = &registry_.counter("duet.runtime.fast_tier.misses");
   tm_fast_rebuilds_ = &registry_.counter("duet.runtime.fast_tier.rebuilds");
@@ -180,6 +182,7 @@ void MuxServer::set_vip(Ipv4Address vip, std::vector<Ipv4Address> dips,
 void MuxServer::remove_vip(Ipv4Address vip) {
   std::lock_guard<std::mutex> lock(config_mu_);
   std::erase_if(vips_, [vip](const VipRecord& r) { return r.vip == vip; });
+  engine_overrides_.erase(vip);  // as Smux::remove_vip does on every worker
   PendingUpdate u;
   u.kind = PendingUpdate::Kind::kRemoveVip;
   u.vip = vip;
@@ -335,6 +338,9 @@ void MuxServer::fold_stats(Worker& worker) {
   flush(d.tx_drops, tm_tx_drops_);
   flush(d.fast_hits, tm_fast_hits_);
   flush(d.fast_misses, tm_fast_misses_);
+  BatchIo::TxCounts io = worker.io.take_tx_counts();
+  flush(io.messages, tm_tx_messages_);
+  flush(io.trains, tm_tx_gso_trains_);
 }
 
 void MuxServer::serve(std::size_t index) {

@@ -93,6 +93,7 @@ class MuxServer {
   // survive, stateless buckets keep their version until they drain (§5.2).
   void set_vip(Ipv4Address vip, std::vector<Ipv4Address> dips,
                std::vector<std::uint32_t> weights = {});
+  // Removes the VIP and its engine override (Smux::remove_vip).
   void remove_vip(Ipv4Address vip);
   // In-place removal of one DIP, and its weight, from a VIP that keeps at
   // least one other DIP (Smux::remove_dip): flows to `dip` terminate and
@@ -129,8 +130,11 @@ class MuxServer {
 
   // --- observability ----------------------------------------------------------
   // Counters: duet.runtime.{rx_packets, rx_bytes, tx_packets, tx_bytes,
-  // parse_failures, unmapped_dip, tx_drops, rx_batches} and
-  // duet.runtime.fast_tier.{hits, misses, rebuilds}; histogram
+  // parse_failures, unmapped_dip, tx_drops, rx_batches, tx_messages,
+  // tx_gso_trains} and duet.runtime.fast_tier.{hits, misses, rebuilds}.
+  // tx_messages counts the sendmmsg messages the tx_packets went in and
+  // tx_gso_trains those carrying more than one (BatchIo::take_tx_counts),
+  // so tx_packets / tx_messages is the datagrams per message. Histogram
   // duet.runtime.batch_fill; plus per-worker Smux metrics under
   // duet.runtime.smux.w<i>.*. Each worker folds its serving counters into
   // the registry on every tick, so a read while workers run lags by at most
@@ -191,6 +195,8 @@ class MuxServer {
   telemetry::Counter* tm_unmapped_dip_;
   telemetry::Counter* tm_tx_drops_;
   telemetry::Counter* tm_rx_batches_;
+  telemetry::Counter* tm_tx_messages_;
+  telemetry::Counter* tm_tx_gso_trains_;
   telemetry::Counter* tm_fast_hits_;
   telemetry::Counter* tm_fast_misses_;
   telemetry::Counter* tm_fast_rebuilds_;

@@ -204,7 +204,9 @@ struct BatchIo::Scratch {
   std::vector<mmsghdr> tx_hdrs;
   std::vector<iovec> tx_iovs;
   std::vector<std::uint32_t> tx_count;
-  bool gso = false;  // udp_gso_available(), read once at construction
+  // udp_gso_available(), read once at construction; cleared for good by the
+  // first train the kernel refuses (see send_batch).
+  bool gso = false;
 #endif
 #if DUET_RUNTIME_HAVE_GSO
   std::vector<GsoCmsg> tx_gso;  // cmsg headers prefilled; only the size varies
@@ -294,7 +296,6 @@ DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items
   std::size_t sent = 0;
 #if DUET_RUNTIME_HAVE_MMSG
   Scratch& s = *scratch_;
-  bool coalesce = s.gso;
   while (sent < items.size()) {
     // Pack up to batch() datagrams into messages, one per run (see udp.h).
     const std::size_t chunk = std::min(items.size() - sent, batch_);
@@ -302,7 +303,7 @@ DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items
     for (std::size_t i = 0; i < chunk;) {
       const TxPacket& head = items[sent + i];
       std::size_t run = 1;
-      if (coalesce && head.len > 0) {
+      if (s.gso && head.len > 0) {
         const std::size_t cap = std::min(kGsoMaxSegments, kGsoMaxBytes / head.len);
         while (run < cap && i + run < chunk && items[sent + i + run].len == head.len &&
                items[sent + i + run].to == head.to) {
@@ -338,12 +339,21 @@ DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items
     while (done < msgs) {
       const int n = sendmmsg(fd, s.tx_hdrs.data() + done, static_cast<unsigned>(msgs - done), 0);
       if (n > 0) {
-        for (int m = 0; m < n; ++m) sent += s.tx_count[done + static_cast<std::size_t>(m)];
+        for (int m = 0; m < n; ++m) {
+          const std::uint32_t count = s.tx_count[done + static_cast<std::size_t>(m)];
+          sent += count;
+          tx_counts_.datagrams += count;
+          tx_counts_.trains += count > 1 ? 1 : 0;
+        }
+        tx_counts_.messages += static_cast<std::uint64_t>(n);
         done += static_cast<std::size_t>(n);
         continue;
       }
       if ((errno == EINVAL || errno == EIO) && s.tx_count[done] > 1) {
-        coalesce = false;  // GSO refused: resend the rest one datagram per message
+        // GSO refused: this call and every later one send one datagram per
+        // message, so a socket or route that always refuses trains costs
+        // one failed sendmmsg, not one per call.
+        s.gso = false;
         break;
       }
       if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) && flush_wait_ms > 0 &&
@@ -367,13 +377,31 @@ DUET_HOT std::size_t BatchIo::send_batch(int fd, std::span<const TxPacket> items
             flush_wait_ms > 0 && wait_writable(fd, flush_wait_ms)) {
           continue;
         }
+        tx_counts_.datagrams += i;
+        tx_counts_.messages += i;
         return sent + i;
       }
     }
     sent += chunk;
+    tx_counts_.datagrams += chunk;
+    tx_counts_.messages += chunk;
   }
 #endif
   return sent;
+}
+
+BatchIo::TxCounts BatchIo::take_tx_counts() noexcept {
+  const TxCounts counts = tx_counts_;
+  tx_counts_ = TxCounts{};
+  return counts;
+}
+
+bool BatchIo::coalesces() const noexcept {
+#if DUET_RUNTIME_HAVE_MMSG
+  return scratch_->gso;
+#else
+  return false;
+#endif
 }
 
 }  // namespace duet::runtime

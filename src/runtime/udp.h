@@ -148,8 +148,28 @@ class BatchIo {
   // buffers (zero copy), and the message count sendmmsg returns is mapped
   // back to datagrams. A coalesced message the kernel refuses at send time
   // (EINVAL/EIO: a route MTU below the segment, SO_NO_CHECK on the socket)
-  // is resent, with the rest of the call, one datagram per message.
+  // is resent, with the rest of the call, one datagram per message, and
+  // this BatchIo stops coalescing for good: every caller sends through
+  // sockets set up alike, so one refusal predicts the next.
+  //
+  // Runs form only where the traffic has them: consecutive datagrams of one
+  // length to one endpoint. A mux forwarding to DIPs at separate endpoints,
+  // or packets of mixed lengths, sends mostly plain messages; take_tx_counts
+  // shows how many datagrams each message carried.
   std::size_t send_batch(int fd, std::span<const TxPacket> items, int flush_wait_ms = 5);
+
+  // What send_batch handed to the kernel since the last take_tx_counts
+  // (which zeroes them): datagrams, the messages they went in, and how many
+  // of those messages were GSO trains (more than one datagram).
+  struct TxCounts {
+    std::uint64_t datagrams = 0;
+    std::uint64_t messages = 0;
+    std::uint64_t trains = 0;
+  };
+  TxCounts take_tx_counts() noexcept;
+  // Whether send_batch still coalesces runs: udp_gso_available() until the
+  // kernel refuses a train on this BatchIo.
+  bool coalesces() const noexcept;
 
  private:
   std::size_t batch_;
@@ -157,6 +177,7 @@ class BatchIo {
   std::size_t headroom_;
   std::size_t stride_;
   std::vector<std::uint8_t> pool_;
+  TxCounts tx_counts_;
   // Opaque scratch (mmsghdr/iovec/sockaddr_in arrays on Linux); hidden so
   // this header stays free of <sys/socket.h>. Destroyed out-of-line in
   // udp.cc where Scratch is complete.

@@ -951,6 +951,7 @@ TEST(PersistDaemon, MutateCrashRecoverServesRecoveredState) {
     // Serving-plane directive: journaled like any mutation, surfaced in stats.
     EXPECT_TRUE(daemon.handle({"rebuild-fast-tier"}).ok());
     EXPECT_NE(daemon.handle({"stats"}).text.find("fast tier:"), std::string::npos);
+    EXPECT_NE(daemon.handle({"stats"}).text.find("gso trains carrying"), std::string::npos);
 
     // Validation failures are server-reported (status 1/2), never aborts.
     EXPECT_EQ(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.9"}).status, 1);  // duplicate
@@ -1106,6 +1107,30 @@ TEST(PersistDaemon, AddVipRefusesARepeatedDipBeforeJournaling) {
   reborn.stop(false);
 }
 
+// 32 closed-loop flows to `vip` through both SO_REUSEPORT workers; every
+// flow must be answered.
+void run_32_flows(Duetd& daemon, Ipv4Address vip) {
+  runtime::LoadGenOptions lo;
+  lo.target = daemon.listen_endpoint();
+  lo.sockets = 2;  // both SO_REUSEPORT workers
+  lo.packet_bytes = 64;
+  runtime::LoadGenerator gen{lo};
+  EXPECT_TRUE(gen.init());
+  const auto flows = gen.make_flows(std::vector<Ipv4Address>{vip}, 32);
+  const auto report = gen.run_closed(flows, 128);
+  for (const auto& at : report.dip_by_flow) EXPECT_NE(at.port, 0) << "a flow went unanswered";
+}
+
+// The pinned-flow count once it reaches `want`, or what it reads after 5 s:
+// each worker publishes its table size after its own last batch.
+unsigned long long flows_settling_at(Duetd& daemon, unsigned long long want) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (flows_in(daemon) != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return flows_in(daemon);
+}
+
 // `set-engine` reaches the serving workers, and so does a recovered
 // override: a stateful duetd serving a VIP overridden to stateless pins none
 // of its flows, before and after a kill -9 restart; clearing the override
@@ -1117,40 +1142,56 @@ TEST(PersistDaemon, SetEngineReachesTheServingWorkers) {
   opts.mux_workers = 2;
   opts.snapshot_every_ops = 0;
   const Ipv4Address vip{100, 0, 1, 1};
-  const auto run_flows = [&vip](Duetd& daemon) {
-    runtime::LoadGenOptions lo;
-    lo.target = daemon.listen_endpoint();
-    lo.sockets = 2;  // both SO_REUSEPORT workers
-    lo.packet_bytes = 64;
-    runtime::LoadGenerator gen{lo};
-    EXPECT_TRUE(gen.init());
-    const auto flows = gen.make_flows(std::vector<Ipv4Address>{vip}, 32);
-    const auto report = gen.run_closed(flows, 128);
-    for (const auto& at : report.dip_by_flow) EXPECT_NE(at.port, 0) << "a flow went unanswered";
-  };
   {
     Duetd daemon{opts};
     std::string error;
     if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
     ASSERT_TRUE(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3"}).ok());
     ASSERT_TRUE(daemon.handle({"set-engine", "100.0.1.1", "stateless"}).ok());
-    run_flows(daemon);
+    run_32_flows(daemon, vip);
     EXPECT_EQ(flows_in(daemon), 0u);
     daemon.stop(/*snapshot=*/false);  // kill -9
   }
   Duetd reborn{opts};
   std::string error;
   ASSERT_TRUE(reborn.start(&error)) << error;
-  run_flows(reborn);
+  run_32_flows(reborn, vip);
   EXPECT_EQ(flows_in(reborn), 0u) << "the recovered override did not reach the workers";
 
   ASSERT_TRUE(reborn.handle({"set-engine", "100.0.1.1", "clear"}).ok());
-  run_flows(reborn);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (flows_in(reborn) != 32u && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  run_32_flows(reborn, vip);
+  EXPECT_EQ(flows_settling_at(reborn, 32), 32u);
+  reborn.stop(false);
+}
+
+// An override goes with its VIP: after set-engine stateless, remove-vip and
+// add-vip of the same address, a stateful duetd pins the VIP's flows again,
+// live and after a kill -9 restart (whose journal replay has no override).
+TEST(PersistDaemon, RemoveVipDropsTheEngineOverride) {
+  TempDir dir;
+  DuetdOptions opts;
+  opts.data_dir = dir.path();
+  opts.mux_workers = 2;
+  opts.snapshot_every_ops = 0;
+  const Ipv4Address vip{100, 0, 1, 1};
+  {
+    Duetd daemon{opts};
+    std::string error;
+    if (!daemon.start(&error)) GTEST_SKIP() << "daemon start failed (" << error << ")";
+    ASSERT_TRUE(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3"}).ok());
+    ASSERT_TRUE(daemon.handle({"set-engine", "100.0.1.1", "stateless"}).ok());
+    ASSERT_TRUE(daemon.handle({"remove-vip", "100.0.1.1"}).ok());
+    ASSERT_TRUE(daemon.handle({"add-vip", "100.0.1.1", "10.0.0.1", "10.0.0.2", "10.0.0.3"}).ok());
+    EXPECT_FALSE(daemon.store().controller().engine_override_of(vip).has_value());
+    run_32_flows(daemon, vip);
+    EXPECT_EQ(flows_settling_at(daemon, 32), 32u) << "the removed VIP's override kept serving";
+    daemon.stop(/*snapshot=*/false);  // kill -9
   }
-  EXPECT_EQ(flows_in(reborn), 32u);
+  Duetd reborn{opts};
+  std::string error;
+  ASSERT_TRUE(reborn.start(&error)) << error;
+  run_32_flows(reborn, vip);
+  EXPECT_EQ(flows_settling_at(reborn, 32), 32u);
   reborn.stop(false);
 }
 

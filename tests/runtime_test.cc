@@ -145,19 +145,27 @@ std::vector<std::vector<std::uint8_t>> numbered_payloads(std::size_t count, std:
 // A run of equal datagrams to one endpoint is one GSO train where the kernel
 // supports it; the receiver (no UDP_GRO) must still see every datagram
 // separately and byte-identical, in order. The 2000-byte round exceeds the
-// 65,507-byte train limit (64 x 2000), so it also covers a split run.
+// 65,507-byte train limit (64 x 2000), so it also covers a split run: two
+// trains of 32 and 32.
 TEST(BatchIo, EqualDatagramsToOneEndpointArriveSeparatelyInOrder) {
   REQUIRE_LOOPBACK();
   auto a = UdpSocket::bind(Endpoint{kLoopback, 0});
   auto b = UdpSocket::bind(Endpoint{kLoopback, 0});
   ASSERT_TRUE(a.has_value() && b.has_value());
   BatchIo tx_io(64);
+  const bool gso = udp_gso_available();
+  EXPECT_EQ(tx_io.coalesces(), gso);
   for (const std::size_t len : {std::size_t{60}, std::size_t{2000}}) {
     const auto payloads = numbered_payloads(64, len);
     std::vector<TxPacket> tx;
     for (const auto& p : payloads) tx.push_back(TxPacket{p.data(), p.size(), b->local()});
     ASSERT_EQ(tx_io.send_batch(a->fd(), tx), tx.size()) << "len " << len;
     EXPECT_EQ(drain_datagrams(*b, payloads.size()), payloads) << "len " << len;
+    const BatchIo::TxCounts counts = tx_io.take_tx_counts();
+    const std::uint64_t trains = !gso ? 0 : len == 60 ? 1 : 2;
+    EXPECT_EQ(counts.datagrams, 64u) << "len " << len;
+    EXPECT_EQ(counts.trains, trains) << "len " << len;
+    EXPECT_EQ(counts.messages, gso ? trains : 64u) << "len " << len;
   }
 }
 
@@ -197,11 +205,34 @@ TEST(BatchIo, MixedLengthsAndDestinationsKeepTheirOrder) {
   ASSERT_EQ(tx_io.send_batch(a->fd(), tx), tx.size());
   EXPECT_EQ(drain_datagrams(*b, want_b.size()), want_b);
   EXPECT_EQ(drain_datagrams(*c, want_c.size()), want_c);
+  const BatchIo::TxCounts counts = tx_io.take_tx_counts();
+  EXPECT_EQ(counts.datagrams, tx.size());
+  EXPECT_EQ(counts.trains > 0, udp_gso_available());
+
+  // Destinations alternating datagram by datagram (DIPs at separate
+  // endpoints) form no run: one plain message per datagram.
+  tx.clear();
+  want_b.clear();
+  want_c.clear();
+  for (std::size_t i = 0; i < 40; ++i) {
+    tx.push_back(TxPacket{payloads[0].data(), payloads[0].size(),
+                          i % 2 == 0 ? b->local() : c->local()});
+    (i % 2 == 0 ? want_b : want_c).push_back(payloads[0]);
+  }
+  ASSERT_EQ(tx_io.send_batch(a->fd(), tx), tx.size());
+  EXPECT_EQ(drain_datagrams(*b, want_b.size()), want_b);
+  EXPECT_EQ(drain_datagrams(*c, want_c.size()), want_c);
+  const BatchIo::TxCounts alternating = tx_io.take_tx_counts();
+  EXPECT_EQ(alternating.datagrams, 40u);
+  EXPECT_EQ(alternating.messages, 40u);
+  EXPECT_EQ(alternating.trains, 0u);
 }
 
 #ifdef SO_NO_CHECK
 // SO_NO_CHECK makes the kernel refuse a GSO message (EINVAL): send_batch
 // must resend the run one datagram per message, and count every datagram.
+// The refusal is remembered: later calls build no train at all, instead of
+// paying one failed sendmmsg each.
 TEST(BatchIo, GsoRefusedBySenderStillDeliversEveryDatagram) {
   REQUIRE_LOOPBACK();
   auto a = UdpSocket::bind(Endpoint{kLoopback, 0});
@@ -213,8 +244,15 @@ TEST(BatchIo, GsoRefusedBySenderStillDeliversEveryDatagram) {
   std::vector<TxPacket> tx;
   for (const auto& p : payloads) tx.push_back(TxPacket{p.data(), p.size(), b->local()});
   BatchIo tx_io(64);
-  ASSERT_EQ(tx_io.send_batch(a->fd(), tx), tx.size());
-  EXPECT_EQ(drain_datagrams(*b, payloads.size()), payloads);
+  for (int call = 0; call < 2; ++call) {
+    ASSERT_EQ(tx_io.send_batch(a->fd(), tx), tx.size()) << "call " << call;
+    EXPECT_EQ(drain_datagrams(*b, payloads.size()), payloads) << "call " << call;
+    EXPECT_FALSE(tx_io.coalesces()) << "call " << call;
+    const BatchIo::TxCounts counts = tx_io.take_tx_counts();
+    EXPECT_EQ(counts.datagrams, 64u);
+    EXPECT_EQ(counts.messages, 64u);
+    EXPECT_EQ(counts.trains, 0u);
+  }
 }
 #endif
 
